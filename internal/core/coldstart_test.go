@@ -1,0 +1,100 @@
+package core_test
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/graph"
+	"repro/internal/lp"
+	"repro/internal/verify"
+)
+
+// fleet160 builds the end-to-end benchmark's fixture (bench/, and
+// newTickBenchMode in internal/cluster) as a bare state: a 160-node random
+// topology with link utilization 30–90 %, every third node busy at 85–95 %
+// and the rest candidates at 15–35 %, 20 Mb of monitoring data each, all
+// drawn from one seeded stream in that order.
+func fleet160(seed int64) (*core.State, core.Params) {
+	rng := rand.New(rand.NewSource(seed))
+	g := graph.RandomConnected(160, 0.05, 1000, rng)
+	graph.RandomizeUtilization(g, 0.3, 0.9, rng)
+	s := core.NewState(g)
+	for i := range s.Util {
+		if i%3 == 0 {
+			s.Util[i] = 85 + 10*rng.Float64()
+		} else {
+			s.Util[i] = 15 + 20*rng.Float64()
+		}
+		s.DataMb[i] = 20
+	}
+	p := core.DefaultParams()
+	p.Thresholds = core.Thresholds{CMax: 80, COMax: 50, XMin: 1}
+	p.PathStrategy = core.PathDP
+	return s, p
+}
+
+// TestColdTransportPivotsFleet160 pins the work of a cold transportation
+// solve on the benchmark's fleet160 shape (seed 17, 54 busy × 106
+// candidates): a role flip lands on exactly this solve, so its pivot count
+// is what a role-churn tick pays. The least-cost start ships the real
+// sources before the balancing dummy, which leaves MODI a pivot or two;
+// the start that let the dummy's zero-cost lanes take the cheapest sinks
+// first needed 79. The count is deterministic, so this is an exact work
+// budget rather than a timing assertion. The objective must match the
+// independent min-cost-flow reference.
+func TestColdTransportPivotsFleet160(t *testing.T) {
+	const maxPivots = 5
+	s, p := fleet160(17)
+	c, err := core.Classify(s, p.Thresholds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := core.ComputeRoutes(s, c, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Busy) != 54 || len(c.Candidates) != 106 {
+		t.Fatalf("fleet160 shape %d×%d, want 54×106", len(c.Busy), len(c.Candidates))
+	}
+	sol, err := lp.SolveTransport(lp.TransportProblem{Supply: c.Cs, Demand: c.Cd, Cost: rt.Seconds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != lp.StatusOptimal {
+		t.Fatalf("status %v, want optimal", sol.Status)
+	}
+	if sol.Iterations > maxPivots {
+		t.Fatalf("cold solve took %d pivots, budget %d", sol.Iterations, maxPivots)
+	}
+	feasible, ref := verify.MinCostFlow(c.Cs, c.Cd, rt.Seconds)
+	if !feasible {
+		t.Fatal("reference reports the instance infeasible")
+	}
+	if math.Abs(sol.Objective-ref) > 1e-9*math.Max(1, math.Abs(ref)) {
+		t.Fatalf("objective %.15g, min-cost-flow reference %.15g", sol.Objective, ref)
+	}
+	t.Logf("fleet160 cold solve: %d pivots, objective %.6f", sol.Iterations, sol.Objective)
+}
+
+// BenchmarkColdTransportFleet160 times the solve TestColdTransportPivotsFleet160
+// counts: one cold lp.SolveTransport on the fleet160 instance.
+func BenchmarkColdTransportFleet160(b *testing.B) {
+	s, p := fleet160(17)
+	c, err := core.Classify(s, p.Thresholds)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rt, err := core.ComputeRoutes(s, c, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prob := lp.TransportProblem{Supply: c.Cs, Demand: c.Cd, Cost: rt.Seconds}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := lp.SolveTransport(prob); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

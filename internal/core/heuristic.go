@@ -47,6 +47,12 @@ type HeuristicResult struct {
 	// Classification echoes the role split used.
 	Classification *Classification
 	Duration       time.Duration
+	// RoutesPriced counts the one-hop routes priced (one per candidate
+	// neighbour with capacity left); LPSolves and Pivots count the
+	// per-node sub-LPs HeuristicLP ran and their simplex pivots (both 0
+	// under HeuristicGreedy). Unlike Duration they are deterministic, so
+	// tests compare work with them.
+	RoutesPriced, LPSolves, Pivots int
 }
 
 // HeuristicBusyOutcome is the per-busy-node breakdown.
@@ -162,6 +168,7 @@ func SolveHeuristicClassified(s *State, c *Classification, p Params, mode Heuris
 			}
 			opts = append(opts, option{cj: cj, cost: best, edge: bestEdge})
 		}
+		res.RoutesPriced += len(opts)
 		sort.Slice(opts, func(a, b int) bool {
 			if opts[a].cost != opts[b].cost {
 				return opts[a].cost < opts[b].cost
@@ -184,10 +191,15 @@ func SolveHeuristicClassified(s *State, c *Classification, p Params, mode Heuris
 		case HeuristicGreedy:
 			fills = greedyFill(need, caps)
 		case HeuristicLP:
+			var sol *lp.Solution
 			var err error
-			fills, err = lpFill(need, caps, costs)
+			fills, sol, err = lpFill(need, caps, costs)
 			if err != nil {
 				return nil, err
+			}
+			if sol != nil {
+				res.LPSolves++
+				res.Pivots += sol.Pivots
 			}
 		default:
 			return nil, fmt.Errorf("core: unknown heuristic mode %d", mode)
@@ -246,10 +258,11 @@ func greedyFill(need float64, caps []float64) []float64 {
 // the excess cannot be fully placed the equality constraint is infeasible;
 // Algorithm 1 still places as much as it can, so we fall back to
 // maximizing placed amount with cost tie-break — equivalent to the greedy
-// waterfill, which we then use directly.
-func lpFill(need float64, caps, costs []float64) ([]float64, error) {
+// waterfill, which we then use directly. The LP's solution is returned
+// alongside the fills, nil when no LP ran.
+func lpFill(need float64, caps, costs []float64) ([]float64, *lp.Solution, error) {
 	if len(caps) == 0 {
-		return nil, nil
+		return nil, nil, nil
 	}
 	model := lp.NewModel(lp.Minimize)
 	vars := make([]lp.VarID, len(caps))
@@ -265,19 +278,19 @@ func lpFill(need float64, caps, costs []float64) ([]float64, error) {
 	if totalCap < need-1e-12 {
 		// Partial failure: the LP equality would be infeasible. The
 		// cheapest way to place totalCap is to fill everything.
-		return append([]float64(nil), caps...), nil
+		return append([]float64(nil), caps...), nil, nil
 	}
 	model.AddConstraint("place", terms, lp.EQ, need)
 	sol, err := model.Solve()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if sol.Status != lp.StatusOptimal {
-		return nil, fmt.Errorf("core: heuristic sub-LP unexpectedly %v", sol.Status)
+		return nil, nil, fmt.Errorf("core: heuristic sub-LP unexpectedly %v", sol.Status)
 	}
 	fills := make([]float64, len(caps))
 	for i, v := range vars {
 		fills[i] = sol.Value(v)
 	}
-	return fills, nil
+	return fills, sol, nil
 }

@@ -22,9 +22,17 @@ type AblationResult struct {
 	ObjectiveAgreement         bool
 	EnumerateTime, DPTime      time.Duration
 	GreedyTime, HeurLPTime     time.Duration
-	ZonedTime, GlobalTime      time.Duration
-	ZonedObjPenaltyPct         float64 // mean objective inflation of zoning
-	ZonedInfeasiblePct         float64
+	// Deterministic work behind the times above, as means per scenario:
+	// EnumeratePaths counts the simple paths enumeration priced and DPPaths
+	// the routes the DP returned (one per reachable busy/candidate pair);
+	// GreedyLPSolves and HeurLPSolves count per-node sub-LPs, HeurLPPivots
+	// their simplex pivots.
+	EnumeratePaths, DPPaths      float64
+	GreedyLPSolves, HeurLPSolves float64
+	HeurLPPivots                 float64
+	ZonedTime, GlobalTime        time.Duration
+	ZonedObjPenaltyPct           float64 // mean objective inflation of zoning
+	ZonedInfeasiblePct           float64
 	// Pod-aware zoning (fat-tree structure) vs blind BFS zoning.
 	PodZonedTime          time.Duration
 	PodZonedObjPenaltyPct float64
@@ -44,6 +52,7 @@ func RunAblations(cfg Config) (*AblationResult, error) {
 	res := &AblationResult{K: k, Iterations: iters, ObjectiveAgreement: true}
 	var tTrans, tSimp, tEnum, tDP, tGreedy, tHeurLP, tZoned, tGlobal, tPodZoned metrics.Summary
 	var zonedPenalty, podZonedPenalty metrics.Summary
+	var enumPaths, dpPaths, greedySolves, lpSolves, lpPivots metrics.Summary
 	zonedInfeasible, podZonedInfeasible, zonedRuns := 0, 0, 0
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -79,17 +88,21 @@ func RunAblations(cfg Config) (*AblationResult, error) {
 		p = base
 		p.Solver = core.SolverTransport
 		p.PathStrategy = core.PathEnumerate
-		_, dEnum, err := solveElapsed(s, p)
+		rEnum, dEnum, err := solveElapsed(s, p)
 		if err != nil {
 			return nil, err
 		}
 		p.PathStrategy = core.PathDP
-		_, dDP, err := solveElapsed(s, p)
+		rDP, dDP, err := solveElapsed(s, p)
 		if err != nil {
 			return nil, err
 		}
 		tEnum.Add(dEnum.Seconds())
 		tDP.Add(dDP.Seconds())
+		if rEnum.Routes != nil {
+			enumPaths.Add(float64(rEnum.Routes.PathsExplored))
+			dpPaths.Add(float64(reachablePairs(rDP.Routes)))
+		}
 
 		// Heuristic-mode ablation.
 		hg, err := core.SolveHeuristic(s, base, core.HeuristicGreedy)
@@ -102,6 +115,9 @@ func RunAblations(cfg Config) (*AblationResult, error) {
 		}
 		tGreedy.Add(hg.Duration.Seconds())
 		tHeurLP.Add(hl.Duration.Seconds())
+		greedySolves.Add(float64(hg.LPSolves))
+		lpSolves.Add(float64(hl.LPSolves))
+		lpPivots.Add(float64(hl.Pivots))
 
 		// Zoning ablation (paper Section V-B: zones of <= 80 nodes).
 		p = base
@@ -145,6 +161,9 @@ func RunAblations(cfg Config) (*AblationResult, error) {
 	res.DPTime = secs(tDP.Mean())
 	res.GreedyTime = secs(tGreedy.Mean())
 	res.HeurLPTime = secs(tHeurLP.Mean())
+	res.EnumeratePaths, res.DPPaths = enumPaths.Mean(), dpPaths.Mean()
+	res.GreedyLPSolves, res.HeurLPSolves = greedySolves.Mean(), lpSolves.Mean()
+	res.HeurLPPivots = lpPivots.Mean()
 	res.ZonedTime = secs(tZoned.Mean())
 	res.GlobalTime = secs(tGlobal.Mean())
 	res.ZonedObjPenaltyPct = zonedPenalty.Mean()
@@ -159,12 +178,26 @@ func RunAblations(cfg Config) (*AblationResult, error) {
 
 func secs(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
 
+// reachablePairs counts the route table's finite entries: the routes a
+// DP table holds, one per busy/candidate pair within the hop bound.
+func reachablePairs(rt *core.RouteTable) int {
+	n := 0
+	for _, row := range rt.Seconds {
+		for _, sec := range row {
+			if !math.IsInf(sec, 1) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // Table renders the comparisons.
 func (r *AblationResult) Table() string {
 	rows := [][]string{
 		{"solver: transport fast path", fdur(r.TransportTime), fmt.Sprintf("vs simplex %s, objectives agree: %v", fdur(r.SimplexTime), r.ObjectiveAgreement)},
-		{"routes: hop-bounded DP", fdur(r.DPTime), fmt.Sprintf("vs exhaustive enumeration %s", fdur(r.EnumerateTime))},
-		{"heuristic: greedy fill", fdur(r.GreedyTime), fmt.Sprintf("vs per-node LP %s", fdur(r.HeurLPTime))},
+		{"routes: hop-bounded DP", fdur(r.DPTime), fmt.Sprintf("vs exhaustive enumeration %s (routes priced %.0f vs %.0f)", fdur(r.EnumerateTime), r.DPPaths, r.EnumeratePaths)},
+		{"heuristic: greedy fill", fdur(r.GreedyTime), fmt.Sprintf("vs per-node LP %s (%.1f LPs, %.1f pivots)", fdur(r.HeurLPTime), r.HeurLPSolves, r.HeurLPPivots)},
 		{"zoning (20-node BFS zones)", fdur(r.ZonedTime), fmt.Sprintf("vs global %s, obj +%.1f%%, infeasible %.0f%%", fdur(r.GlobalTime), r.ZonedObjPenaltyPct, r.ZonedInfeasiblePct)},
 		{"zoning (fat-tree pods)", fdur(r.PodZonedTime), fmt.Sprintf("vs global %s, obj +%.1f%%, infeasible %.0f%%", fdur(r.GlobalTime), r.PodZonedObjPenaltyPct, r.PodZonedInfeasiblePct)},
 	}

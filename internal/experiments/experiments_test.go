@@ -227,11 +227,13 @@ func TestFig11Shape(t *testing.T) {
 		t.Fatalf("optimization time should grow with scale: %v", optTimes)
 	}
 	// Heuristic stays far cheaper than optimization at the largest
-	// optimized scale.
+	// optimized scale: it prices one-hop routes where optimization
+	// enumerates every simple path within the hop bound. Counted, not
+	// timed, so the check is deterministic.
 	for _, p := range res.Points {
-		if p.K == 16 && p.MeanHeurTime >= p.MeanOptTime {
-			t.Fatalf("heuristic (%v) should beat optimization (%v) at 16-k",
-				p.MeanHeurTime, p.MeanOptTime)
+		if p.K == 16 && p.MeanHeurRoutes >= p.MeanOptPaths {
+			t.Fatalf("heuristic priced %.0f routes, optimization enumerated %.0f paths at 16-k",
+				p.MeanHeurRoutes, p.MeanOptPaths)
 		}
 	}
 }
@@ -271,13 +273,17 @@ func TestAblations(t *testing.T) {
 	if !res.ObjectiveAgreement {
 		t.Fatal("transport and simplex disagreed on an objective")
 	}
-	// The DP route computation must beat exhaustive enumeration.
-	if res.DPTime >= res.EnumerateTime {
-		t.Fatalf("DP (%v) should beat enumeration (%v)", res.DPTime, res.EnumerateTime)
+	// The DP route computation must do less work than exhaustive
+	// enumeration: one route per reachable pair against every simple
+	// path. Work is counted, not timed, so the check is deterministic.
+	if res.DPPaths <= 0 || res.DPPaths >= res.EnumeratePaths {
+		t.Fatalf("DP priced %.0f routes, enumeration %.0f", res.DPPaths, res.EnumeratePaths)
 	}
-	// Greedy fill must beat spawning an LP per busy node.
-	if res.GreedyTime >= res.HeurLPTime {
-		t.Fatalf("greedy (%v) should beat per-node LP (%v)", res.GreedyTime, res.HeurLPTime)
+	// Greedy fill solves no LP; the LP mode solves one per busy node that
+	// has one-hop options.
+	if res.GreedyLPSolves != 0 || res.HeurLPSolves <= 0 || res.HeurLPPivots <= 0 {
+		t.Fatalf("greedy ran %.1f LPs, per-node LP mode %.1f LPs / %.1f pivots",
+			res.GreedyLPSolves, res.HeurLPSolves, res.HeurLPPivots)
 	}
 	if !strings.Contains(res.Table(), "Ablations") {
 		t.Fatal("table header missing")

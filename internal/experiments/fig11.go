@@ -21,7 +21,12 @@ type Fig11Point struct {
 	MeanOptTime time.Duration
 	// MeanHeurTime is the heuristic wall time (Figure 12).
 	MeanHeurTime time.Duration
-	OptRan       bool
+	// MeanHeurRoutes is the mean number of one-hop routes the heuristic
+	// priced and MeanOptPaths the mean number of simple paths the
+	// optimization enumerated (zero when it did not run): the
+	// deterministic counterpart of the two times.
+	MeanHeurRoutes, MeanOptPaths float64
+	OptRan                       bool
 }
 
 // Fig11Result reproduces Figure 11 (and, via the heuristic-time column,
@@ -64,7 +69,7 @@ func Fig11Scalability(cfg Config) (*Fig11Result, error) {
 			iters = max(cfg.LargeIterations, 1)
 		}
 		rng := rand.New(rand.NewSource(cfg.Seed))
-		var hfr, optT, heurT metrics.Summary
+		var hfr, optT, heurT, heurRoutes, optPaths metrics.Summary
 		optRan := k <= 16
 		params := core.DefaultParams()
 		params.Thresholds = sc.Thresholds
@@ -85,21 +90,25 @@ func Fig11Scalability(cfg Config) (*Fig11Result, error) {
 			}
 			hfr.Add(h.HFRPercent)
 			heurT.Add(h.Duration.Seconds())
+			heurRoutes.Add(float64(h.RoutesPriced))
 			if optRan {
-				_, elapsed, err := solveElapsed(s, params)
+				r, elapsed, err := solveElapsed(s, params)
 				if err != nil {
 					return nil, err
 				}
 				optT.Add(elapsed.Seconds())
+				optPaths.Add(float64(r.Routes.PathsExplored))
 			}
 		}
 		nodes, _ := graphSizes(k)
 		res.Points = append(res.Points, Fig11Point{
 			K: k, Nodes: nodes,
-			MeanHFRPct:   hfr.Mean(),
-			MeanOptTime:  time.Duration(optT.Mean() * float64(time.Second)),
-			MeanHeurTime: time.Duration(heurT.Mean() * float64(time.Second)),
-			OptRan:       optRan,
+			MeanHFRPct:     hfr.Mean(),
+			MeanOptTime:    time.Duration(optT.Mean() * float64(time.Second)),
+			MeanHeurTime:   time.Duration(heurT.Mean() * float64(time.Second)),
+			MeanHeurRoutes: heurRoutes.Mean(),
+			MeanOptPaths:   optPaths.Mean(),
+			OptRan:         optRan,
 		})
 	}
 

@@ -2,6 +2,10 @@ package lp_test
 
 import (
 	"math"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/lp"
@@ -12,9 +16,18 @@ import (
 // byte-derived and small, so absolute slack is fine.
 const fuzzTol = 1e-6
 
+// subEpsSupply is what supply byte 255 decodes to: an amount under the
+// solver's 1e-9 tolerance that must still either ship or be reported
+// stranded.
+const subEpsSupply = 1e-10
+
 // transportFromBytes decodes a small well-formed transportation problem
-// from fuzz data: sizes in [1,4], supplies/demands in [0, 25.5], costs in
-// [0, ~32) with roughly one lane in seven forbidden (+Inf).
+// from fuzz data: 1+data[0]%4 sources and 1+data[1]%4 sinks, then one byte
+// per supply, demand and lane cost, row-major. Supplies and demands are
+// byte/10 in [0, 25.5], except that supply byte 255 is subEpsSupply. Costs
+// are byte/8 in [0, ~32): byte 0 is a free lane (tying the balancing dummy
+// source's zero cost), other multiples of 7 forbid the lane (+Inf, about
+// one lane in seven).
 func transportFromBytes(data []byte) (lp.TransportProblem, bool) {
 	var p lp.TransportProblem
 	if len(data) < 2 {
@@ -30,6 +43,9 @@ func transportFromBytes(data []byte) (lp.TransportProblem, bool) {
 	p.Cost = make([][]float64, m)
 	for i := 0; i < m; i++ {
 		p.Supply[i] = float64(data[2+i]) / 10
+		if data[2+i] == 255 {
+			p.Supply[i] = subEpsSupply
+		}
 	}
 	for j := 0; j < n; j++ {
 		p.Demand[j] = float64(data[2+m+j]) / 10
@@ -38,7 +54,7 @@ func transportFromBytes(data []byte) (lp.TransportProblem, bool) {
 		p.Cost[i] = make([]float64, n)
 		for j := 0; j < n; j++ {
 			b := data[2+m+n+i*n+j]
-			if b%7 == 0 {
+			if b != 0 && b%7 == 0 {
 				p.Cost[i][j] = math.Inf(1)
 			} else {
 				p.Cost[i][j] = float64(b) / 8
@@ -48,16 +64,129 @@ func transportFromBytes(data []byte) (lp.TransportProblem, bool) {
 	return p, true
 }
 
+// referenceVerdicts solves p with verify.MinCostFlow and returns its
+// feasibility verdict and objective, plus the exact verdict. The reference
+// ships within an absolute 1e-9, so it calls a stranded sub-eps supply
+// feasible. Every other decoded amount lies on the 0.1 grid, so raising
+// the sub-eps supplies to 1e-4 (at most 4e-4 in total) flips no cut's
+// verdict while lifting them into the reference's view: that run gives the
+// exact verdict. The two differ only when the unroutable amount is sub-eps,
+// and then the solver may report either: infeasible when the amount lands
+// on a sub-eps source's own forbidden lane (held to that source's relative
+// tolerance), optimal when it lands on a larger source's (within its
+// tolerance).
+func referenceVerdicts(p lp.TransportProblem) (feasible, exact bool, obj float64) {
+	feasible, obj = verify.MinCostFlow(p.Supply, p.Demand, p.Cost)
+	raised := append([]float64(nil), p.Supply...)
+	subEps := false
+	for i, s := range raised {
+		if s == subEpsSupply {
+			raised[i] = 1e-4
+			subEps = true
+		}
+	}
+	exact = feasible
+	if subEps {
+		exact, _ = verify.MinCostFlow(raised, p.Demand, p.Cost)
+	}
+	return feasible, exact, obj
+}
+
+// strandedSource returns a source with positive supply and every lane
+// forbidden, or -1.
+func strandedSource(p lp.TransportProblem) int {
+	for i, s := range p.Supply {
+		if s == 0 {
+			continue
+		}
+		open := false
+		for _, c := range p.Cost[i] {
+			open = open || !math.IsInf(c, 1)
+		}
+		if !open {
+			return i
+		}
+	}
+	return -1
+}
+
+// Seeds of the transport fuzz targets; testdata/fuzz holds more.
+var (
+	solveTransportSeeds = [][]byte{
+		{1, 1, 10, 20, 15, 15, 1, 2, 3, 4},
+		{0, 0, 5, 200, 7}, // forbidden single lane (7%7==0)
+		{2, 1, 9, 9, 9, 90, 90, 1, 2, 3, 4, 5, 6},
+		{1, 0, 200, 200, 10, 8, 9}, // supply exceeds demand
+	}
+	repairTransportSeeds = [][]byte{
+		{1, 1, 10, 20, 15, 15, 1, 2, 3, 4, 0, 1, 9},
+		{2, 1, 9, 9, 9, 90, 90, 1, 2, 3, 4, 5, 6, 1, 1, 200},
+		{1, 2, 30, 12, 15, 15, 15, 1, 2, 3, 4, 5, 6, 2, 4, 33},
+	}
+)
+
+// TestTransportFuzzSeedsDecode guards the transport fuzz targets against
+// dead seeds: every seed and checked-in corpus entry must decode to a
+// problem (and, for the repair target, carry a mutation), or the target
+// skips it without a word.
+func TestTransportFuzzSeedsDecode(t *testing.T) {
+	check := func(name string, data []byte, mutation bool) {
+		p, ok := transportFromBytes(data)
+		if !ok {
+			t.Errorf("%s: does not decode", name)
+			return
+		}
+		if used := 2 + len(p.Supply) + len(p.Demand) + len(p.Supply)*len(p.Demand); mutation && len(data) < used+3 {
+			t.Errorf("%s: no mutation after the %d problem bytes", name, used)
+		}
+	}
+	for k, data := range solveTransportSeeds {
+		check("FuzzSolveTransport seed "+strconv.Itoa(k), data, false)
+	}
+	for k, data := range repairTransportSeeds {
+		check("FuzzRepairTransport seed "+strconv.Itoa(k), data, true)
+	}
+	for _, target := range []string{"FuzzSolveTransport", "FuzzRepairTransport"} {
+		files, err := filepath.Glob(filepath.Join("testdata", "fuzz", target, "*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			check(f, readCorpusBytes(t, f), target == "FuzzRepairTransport")
+		}
+	}
+}
+
+// readCorpusBytes parses a one-value `go test fuzz v1` corpus file holding
+// a []byte.
+func readCorpusBytes(t *testing.T, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if len(lines) != 2 || lines[0] != "go test fuzz v1" ||
+		!strings.HasPrefix(lines[1], "[]byte(") || !strings.HasSuffix(lines[1], ")") {
+		t.Fatalf("%s: not a one-value []byte corpus file", path)
+	}
+	s, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return []byte(s)
+}
+
 // FuzzSolveTransport hardens the transportation solver: any well-formed
 // problem must solve without panicking, every optimal solution must
 // satisfy the primal constraints and reproduce its own objective with
 // finite duals, and both the feasibility verdict and the objective must
-// agree with the independent successive-shortest-path reference.
+// agree with the independent successive-shortest-path reference — where
+// a sub-eps supply is involved, in the direction its tolerance allows.
 func FuzzSolveTransport(f *testing.F) {
-	f.Add([]byte{2, 2, 10, 20, 15, 15, 1, 2, 3, 4})
-	f.Add([]byte{1, 1, 5, 200, 7}) // forbidden single lane (7%7==0)
-	f.Add([]byte{3, 2, 9, 9, 9, 90, 90, 1, 2, 3, 4, 5, 6})
-	f.Add([]byte{2, 1, 200, 200, 10, 8, 9}) // supply exceeds demand
+	for _, seed := range solveTransportSeeds {
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, ok := transportFromBytes(data)
@@ -68,11 +197,17 @@ func FuzzSolveTransport(f *testing.F) {
 		if err != nil {
 			t.Fatalf("well-formed problem errored: %v", err)
 		}
-		feasible, refObj := verify.MinCostFlow(p.Supply, p.Demand, p.Cost)
-		if feasible != (sol.Status == lp.StatusOptimal) {
-			t.Fatalf("reference feasible=%v, solver status %v", feasible, sol.Status)
+		feasible, exact, refObj := referenceVerdicts(p)
+		optimal := sol.Status == lp.StatusOptimal
+		// Where exact == feasible the verdict is unique; in between, both
+		// are within tolerance.
+		if exact && !optimal || optimal && !feasible {
+			t.Fatalf("reference feasible=%v (exactly %v), solver status %v", feasible, exact, sol.Status)
 		}
-		if sol.Status != lp.StatusOptimal {
+		if i := strandedSource(p); i >= 0 && optimal {
+			t.Fatalf("source %d has no open lane but the solve is optimal", i)
+		}
+		if !optimal {
 			return
 		}
 		m, n := len(p.Supply), len(p.Demand)
@@ -129,11 +264,13 @@ func FuzzSolveTransport(f *testing.F) {
 // produces), solve the base, repair across the mutation, and require the
 // repaired solution to agree with a from-scratch solve on status and
 // objective. Any disagreement means the dirty-set or dual-pivot logic
-// mispriced a cell it claimed could not move.
+// mispriced a cell it claimed could not move — except a status split on
+// a sub-eps unroutable amount, where both verdicts are within tolerance
+// (see referenceVerdicts).
 func FuzzRepairTransport(f *testing.F) {
-	f.Add([]byte{2, 2, 10, 20, 15, 15, 1, 2, 3, 4, 0, 1, 9})
-	f.Add([]byte{3, 2, 9, 9, 9, 90, 90, 1, 2, 3, 4, 5, 6, 1, 1, 200})
-	f.Add([]byte{2, 3, 30, 12, 15, 15, 15, 1, 2, 3, 4, 5, 6, 2, 4, 33})
+	for _, seed := range repairTransportSeeds {
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, ok := transportFromBytes(data)
@@ -178,7 +315,10 @@ func FuzzRepairTransport(f *testing.F) {
 			t.Fatalf("cold: %v", err)
 		}
 		if rep.Status != cold.Status {
-			t.Fatalf("repair status %v, cold %v (delta %+v)", rep.Status, cold.Status, delta)
+			if feasible, exact, _ := referenceVerdicts(p); feasible == exact {
+				t.Fatalf("repair status %v, cold %v (delta %+v)", rep.Status, cold.Status, delta)
+			}
+			return
 		}
 		if cold.Status == lp.StatusOptimal {
 			if math.Abs(rep.Objective-cold.Objective) > fuzzTol*math.Max(1, math.Abs(cold.Objective)) {

@@ -1,6 +1,9 @@
 package lp
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // DeltaCell names a lane (source I, sink J) whose cost changed since the
 // basis was captured.
@@ -70,7 +73,7 @@ func RepairTransport(p TransportProblem, prev *TransportSolution, basis *Transpo
 		}
 	}
 
-	t := newTransportTableau(prep.supply, prep.demand, prep.cost)
+	t := newTransportTableau(prep)
 	if !t.warmStart(basis.cells, true) {
 		return SolveTransportWarm(p, basis)
 	}
@@ -84,8 +87,9 @@ func RepairTransport(p TransportProblem, prev *TransportSolution, basis *Transpo
 	for k, c := range basis.cells {
 		stored[t.idx(c)] = basis.costs[k]
 	}
+	uOld, vOld := make([]float64, t.m), make([]float64, t.n)
+	t.treePotentials(uOld, vOld, stored)
 	u, v := t.potentials()
-	uOld, vOld := t.potentialsCost(stored)
 	dirtyRow := make([]bool, t.m)
 	dirtyCol := make([]bool, t.n)
 	anyDirty := false
@@ -105,7 +109,7 @@ func RepairTransport(p TransportProblem, prev *TransportSolution, basis *Transpo
 	negative := false
 	for _, cs := range t.rowBasics {
 		for _, c := range cs {
-			if t.flow[t.idx(c)] < -eps {
+			if t.flow[t.idx(c)] < -t.tol {
 				negative = true
 			}
 		}
@@ -134,7 +138,7 @@ func RepairTransport(p TransportProblem, prev *TransportSolution, basis *Transpo
 	}
 
 	if anyDirty || len(delta.CostCells) > 0 {
-		if !t.primalRepair(u, v, dirtyRow, dirtyCol, delta.CostCells) {
+		if !t.primalRepair(dirtyRow, dirtyCol, delta.CostCells) {
 			return SolveTransportWarm(p, basis)
 		}
 	}
@@ -152,7 +156,7 @@ func (t *transportTableau) dualSimplex() bool {
 	queue := make([]int, 0, t.m+t.n)
 	for {
 		leave := cell{-1, -1}
-		worst := -eps
+		worst := -t.tol
 		for _, cs := range t.rowBasics {
 			for _, c := range cs {
 				f := t.flow[t.idx(c)]
@@ -176,14 +180,11 @@ func (t *transportTableau) dualSimplex() bool {
 		// nonbasic cells crossing the cut as (row in B, col in A): that
 		// orientation places leave at a plus position of the entering
 		// cycle, so pushing flow raises leave's negative flow to zero.
-		for k := range inA {
-			inA[k] = false
-		}
+		clear(inA)
 		inA[leave.i] = true
 		queue = append(queue[:0], leave.i)
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
+		for head := 0; head < len(queue); head++ {
+			cur := queue[head]
 			if cur < t.m {
 				for _, c := range t.rowBasics[cur] {
 					if c == leave {
@@ -267,9 +268,13 @@ func (t *transportTableau) dualSimplex() bool {
 // pivot may move more duals; the dirty sets grow to match, so the scan
 // stays sound. Returns false on budget exhaustion or a degeneracy stall,
 // signalling the caller to fall back.
-func (t *transportTableau) primalRepair(u, v []float64, dirtyRow, dirtyCol []bool, changed []DeltaCell) bool {
+func (t *transportTableau) primalRepair(dirtyRow, dirtyCol []bool, changed []DeltaCell) bool {
 	budget := maxRepairPivots(t.m, t.n)
 	stall := 0
+	u, v := t.potentials()
+	// potentials reuses its output slices, so the duals before each pivot
+	// are kept here to diff against.
+	prevU, prevV := slices.Clone(u), slices.Clone(v)
 	for {
 		enter := cell{-1, -1}
 		best := -eps
@@ -325,62 +330,18 @@ func (t *transportTableau) primalRepair(u, v []float64, dirtyRow, dirtyCol []boo
 			stall = 0
 		}
 
-		un, vn := t.potentials()
-		for i := range un {
-			if un[i] != u[i] {
+		u, v = t.potentials()
+		for i := range u {
+			if u[i] != prevU[i] {
 				dirtyRow[i] = true
 			}
 		}
-		for j := range vn {
-			if vn[j] != v[j] {
+		for j := range v {
+			if v[j] != prevV[j] {
 				dirtyCol[j] = true
 			}
 		}
-		u, v = un, vn
+		copy(prevU, u)
+		copy(prevV, v)
 	}
-}
-
-// potentialsCost is potentials with the basic-cell costs read from a dense
-// row-major override instead of the live cost matrix — the traversal and
-// arithmetic are otherwise identical, so equal costs yield bitwise-equal
-// duals (the property the repair's dirty-set detection relies on).
-func (t *transportTableau) potentialsCost(costAt []float64) (u, v []float64) {
-	u = make([]float64, t.m)
-	v = make([]float64, t.n)
-	seenRow := make([]bool, t.m)
-	seenCol := make([]bool, t.n)
-	type frame struct {
-		isRow bool
-		idx   int
-	}
-	for start := 0; start < t.m; start++ {
-		if seenRow[start] {
-			continue
-		}
-		seenRow[start] = true
-		u[start] = 0
-		stack := []frame{{true, start}}
-		for len(stack) > 0 {
-			f := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if f.isRow {
-				for _, c := range t.rowBasics[f.idx] {
-					if !seenCol[c.j] {
-						seenCol[c.j] = true
-						v[c.j] = costAt[t.idx(c)] - u[c.i]
-						stack = append(stack, frame{false, c.j})
-					}
-				}
-			} else {
-				for _, c := range t.colBasics[f.idx] {
-					if !seenRow[c.i] {
-						seenRow[c.i] = true
-						u[c.i] = costAt[t.idx(c)] - v[c.j]
-						stack = append(stack, frame{true, c.i})
-					}
-				}
-			}
-		}
-	}
-	return u, v
 }

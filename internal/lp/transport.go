@@ -1,10 +1,11 @@
 package lp
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // TransportProblem is the min-cost transportation problem the DUST
@@ -50,10 +51,11 @@ type TransportSolution struct {
 // same forbidden-lane set). The flows it implies are recomputed from the
 // new supplies/demands, so a stale basis can never corrupt a solution — at
 // worst it is rejected and the solve falls back to the cold least-cost
-// start. Beyond the tree, the snapshot carries each basic cell's cost at
-// capture time (in the balanced tableau's scaled units): RepairTransport
-// replays the capture-time duals from them to localize the effect of a
-// cost perturbation.
+// start (real sources first, the dummy last; a pivot or two from optimal
+// on the DUST shapes). Beyond the tree, the snapshot carries each basic
+// cell's cost at capture time (in the balanced tableau's scaled units):
+// RepairTransport replays the capture-time duals from them to localize the
+// effect of a cost perturbation.
 type TransportBasis struct {
 	m, n  int
 	cells []cell
@@ -94,9 +96,13 @@ var errMalformed = errors.New("lp: malformed transportation problem")
 // transportPrep is the validated, balanced, Big-M'd form of a
 // TransportProblem, shared by the cold, warm, and repair entry points.
 type transportPrep struct {
-	m, n   int // original shape (rows excluding the dummy)
+	m, n  int // original shape (rows excluding the dummy)
+	dummy int // row index of the balancing dummy source (after the real rows)
+	// tol is the amount tolerance: eps, shrunk to eps·s for a smallest
+	// positive supply s < 1 so that a sub-eps supply is never lost in it.
+	tol    float64
 	scale  float64
-	supply []float64   // balanced: len m+1, last entry the dummy's slack
+	supply []float64   // balanced: len m+1, the dummy's entry its slack
 	demand []float64   // len n
 	cost   [][]float64 // balanced scaled costs: len m+1 rows
 	forb   []bool      // len m*n: the original problem's forbidden lanes
@@ -115,6 +121,7 @@ func prepareTransport(p TransportProblem) (*transportPrep, *TransportSolution, e
 	}
 	totalSupply, totalDemand := 0.0, 0.0
 	maxCost := 0.0
+	tol := eps
 	for i := range p.Supply {
 		if p.Supply[i] < 0 {
 			return nil, nil, fmt.Errorf("%w: negative supply %g at source %d", errMalformed, p.Supply[i], i)
@@ -123,6 +130,9 @@ func prepareTransport(p TransportProblem) (*transportPrep, *TransportSolution, e
 			return nil, nil, fmt.Errorf("%w: cost row %d has %d entries, want %d", errMalformed, i, len(p.Cost[i]), n)
 		}
 		totalSupply += p.Supply[i]
+		if s := p.Supply[i]; s > 0 && eps*s < tol {
+			tol = eps * s
+		}
 		for j := range p.Cost[i] {
 			if c := p.Cost[i][j]; !math.IsInf(c, 1) && c > maxCost {
 				maxCost = c
@@ -135,7 +145,7 @@ func prepareTransport(p TransportProblem) (*transportPrep, *TransportSolution, e
 		}
 		totalDemand += p.Demand[j]
 	}
-	if totalSupply > totalDemand+eps {
+	if totalSupply > totalDemand+tol {
 		return nil, &TransportSolution{Status: StatusInfeasible}, nil
 	}
 
@@ -179,7 +189,7 @@ func prepareTransport(p TransportProblem) (*transportPrep, *TransportSolution, e
 		}
 	}
 	demand := append([]float64(nil), p.Demand...)
-	return &transportPrep{m: m, n: n, scale: scale, supply: supply, demand: demand, cost: cost, forb: forb}, nil, nil
+	return &transportPrep{m: m, n: n, dummy: m, tol: tol, scale: scale, supply: supply, demand: demand, cost: cost, forb: forb}, nil, nil
 }
 
 // SolveTransport solves the transportation problem with the classical
@@ -187,6 +197,15 @@ func prepareTransport(p TransportProblem) (*transportPrep, *TransportSolution, e
 // MODI (u-v) optimality iterations on the basis spanning tree. It detects
 // infeasibility (total supply exceeding total sink capacity, or forbidden
 // lanes making some supply unroutable).
+//
+// The start ships the real sources first, least cost first, and lets the
+// balancing dummy source take only the sink capacity they leave idle. Its
+// cost is one scan per source row plus a min-heap of per-row offers — no
+// sort over the m·n cells. Mixing the dummy's zero-cost lanes into the same
+// cost order instead parks the slack on the cheapest sinks before any real
+// source ships, and MODI then spends most of its pivots moving it back: on
+// the 160-node fleet160 benchmark shape (54 sources × 106 sinks) that start
+// took 79 pivots, the dummy-last one takes 1.
 func SolveTransport(p TransportProblem) (*TransportSolution, error) {
 	sol, _, err := SolveTransportWarm(p, nil)
 	return sol, err
@@ -203,12 +222,17 @@ func SolveTransport(p TransportProblem) (*TransportSolution, error) {
 // it is non-nil whenever the solve ran to optimality. Warm starts never
 // change the answer: MODI runs to optimality from any feasible basis, and
 // an incompatible or infeasible seed falls back to the cold start.
+//
+// Since the cold start ships real sources before the dummy (see
+// SolveTransport) it is itself within a pivot or two of optimal on the
+// DUST shapes, so a warm seed mostly saves that start's row scans rather
+// than pivots.
 func SolveTransportWarm(p TransportProblem, warm *TransportBasis) (*TransportSolution, *TransportBasis, error) {
 	prep, early, err := prepareTransport(p)
 	if early != nil || err != nil {
 		return early, nil, err
 	}
-	t := newTransportTableau(prep.supply, prep.demand, prep.cost)
+	t := newTransportTableau(prep)
 	warmStarted := false
 	if warm.compatibleWith(prep) {
 		warmStarted = t.warmStart(warm.cells, false)
@@ -228,7 +252,7 @@ func SolveTransportWarm(p TransportProblem, warm *TransportBasis) (*TransportSol
 // gauge fix, and the objective recomputed from the original costs.
 func finishTransport(t *transportTableau, p TransportProblem, prep *transportPrep, warmStarted, repaired bool) (*TransportSolution, *TransportBasis, error) {
 	m, n := prep.m, prep.n
-	forbidden := func(i, j int) bool { return i < m && prep.forb[i*n+j] }
+	forbidden := func(i, j int) bool { return i != prep.dummy && prep.forb[i*n+j] }
 	for i := 0; i < m; i++ {
 		// Flow beyond roundoff on a forbidden lane means the real problem
 		// is infeasible. The tolerance shrinks with the source's supply —
@@ -257,7 +281,9 @@ func finishTransport(t *transportTableau, p TransportProblem, prep *transportPre
 	for _, cs := range t.rowBasics {
 		basis.cells = append(basis.cells, cs...)
 	}
-	sort.Slice(basis.cells, func(a, b int) bool { return lessCell(basis.cells[a], basis.cells[b]) })
+	slices.SortFunc(basis.cells, func(a, b cell) int {
+		return cmp.Or(cmp.Compare(a.i, b.i), cmp.Compare(a.j, b.j))
+	})
 	basis.costs = make([]float64, len(basis.cells))
 	for k, c := range basis.cells {
 		basis.costs[k] = t.cost[c.i][c.j]
@@ -272,7 +298,7 @@ func finishTransport(t *transportTableau, p TransportProblem, prep *transportPre
 	// Normalize the dual gauge so the dummy source's potential is zero:
 	// slack sinks (fed by the dummy at cost 0) then get dual exactly 0 and
 	// -v_j is directly sink j's shadow price.
-	shift := u[m]
+	shift := u[t.dummy]
 	sol := &TransportSolution{
 		Status:      StatusOptimal,
 		Flow:        make([][]float64, m),
@@ -307,135 +333,92 @@ func finishTransport(t *transportTableau, p TransportProblem, prep *transportPre
 	return sol, basis, nil
 }
 
-// warmStart seeds the basis from a prior optimal tree: the cells must form
-// a spanning tree over the balanced problem's rows (including the dummy)
-// and columns, and the unique tree flows for the current supplies/demands
-// must be nonnegative — unless allowNegative is set (the repair path fixes
-// negative re-flows with dual-simplex pivots instead of rejecting them).
-// Returns false — leaving the tableau untouched — when a check fails, so
-// the caller falls back to the cold start.
+// warmStart seeds the basis of a fresh tableau from a prior optimal tree:
+// the cells must form a spanning tree over the balanced problem's rows
+// (including the dummy) and columns, and the unique tree flows for the
+// current supplies/demands must be nonnegative — unless allowNegative is
+// set (the repair path fixes negative re-flows with dual-simplex pivots
+// instead of rejecting them). Returns false — leaving the tableau untouched
+// — when a check fails, so the caller falls back to the cold start.
 func (t *transportTableau) warmStart(cells []cell, allowNegative bool) bool {
 	if len(cells) != t.m+t.n-1 {
 		return false
 	}
 	// Acyclicity via union-find; |cells| = nodes-1 and acyclic together
 	// imply a spanning tree.
-	parent := make([]int, t.m+t.n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
+	t.resetForest()
 	for _, c := range cells {
 		if c.i < 0 || c.i >= t.m || c.j < 0 || c.j >= t.n {
 			return false
 		}
-		ri, rj := find(c.i), find(t.m+c.j)
-		if ri == rj {
+		if !t.union(c.i, t.m+c.j) {
 			return false
 		}
-		parent[ri] = rj
 	}
 
 	// The flows on a spanning tree are uniquely determined by the node
 	// balances: peel leaves, each forcing its single incident cell's flow.
-	rowCells := make([][]int, t.m)
-	colCells := make([][]int, t.n)
-	for k, c := range cells {
-		rowCells[c.i] = append(rowCells[c.i], k)
-		colCells[c.j] = append(colCells[c.j], k)
+	// A node's unpeeled tree edges are tracked as a degree plus the XOR of
+	// the neighbours' node ids, so a leaf's last neighbour is read off
+	// directly. The forest array is free again and holds the XORs; the
+	// flows are staged in the (still all-zero) flow matrix.
+	deg, nbr, rem := t.deg, t.parent, t.rem
+	clear(deg)
+	clear(nbr)
+	copy(rem, t.supply)
+	copy(rem[t.m:], t.demand)
+	for _, c := range cells {
+		row, col := c.i, t.m+c.j
+		deg[row]++
+		deg[col]++
+		nbr[row] ^= col
+		nbr[col] ^= row
 	}
-	remS := append([]float64(nil), t.supply...)
-	remD := append([]float64(nil), t.demand...)
-	degR := make([]int, t.m)
-	degC := make([]int, t.n)
-	type node struct {
-		isRow bool
-		idx   int
-	}
-	var leaves []node
-	for i := range rowCells {
-		degR[i] = len(rowCells[i])
-		if degR[i] == 1 {
-			leaves = append(leaves, node{true, i})
+	leaves := t.nodes[:0]
+	for k, d := range deg {
+		if d == 1 {
+			leaves = append(leaves, k)
 		}
 	}
-	for j := range colCells {
-		degC[j] = len(colCells[j])
-		if degC[j] == 1 {
-			leaves = append(leaves, node{false, j})
-		}
-	}
-	flows := make([]float64, len(cells))
-	used := make([]bool, len(cells))
 	for len(leaves) > 0 {
-		nd := leaves[len(leaves)-1]
+		k := leaves[len(leaves)-1]
 		leaves = leaves[:len(leaves)-1]
-		var incident []int
-		if nd.isRow {
-			if degR[nd.idx] == 0 {
-				continue // became isolated when its last cell was peeled
-			}
-			incident = rowCells[nd.idx]
-		} else {
-			if degC[nd.idx] == 0 {
-				continue
-			}
-			incident = colCells[nd.idx]
+		if deg[k] == 0 {
+			continue // became isolated when its last cell was peeled
 		}
-		k := -1
-		for _, ck := range incident {
-			if !used[ck] {
-				k = ck
-				break
-			}
+		o := nbr[k]
+		c := cell{k, o - t.m}
+		if k >= t.m {
+			c = cell{o, k - t.m}
 		}
-		if k < 0 {
-			continue
-		}
-		c := cells[k]
-		var f float64
-		if nd.isRow {
-			f = remS[c.i]
-		} else {
-			f = remD[c.j]
-		}
-		flows[k] = f
-		used[k] = true
-		remS[c.i] -= f
-		remD[c.j] -= f
-		degR[c.i]--
-		degC[c.j]--
-		if nd.isRow {
-			if degC[c.j] == 1 {
-				leaves = append(leaves, node{false, c.j})
-			}
-		} else if degR[c.i] == 1 {
-			leaves = append(leaves, node{true, c.i})
+		f := rem[k]
+		t.flow[t.idx(c)] = f
+		rem[k] -= f
+		rem[o] -= f
+		deg[k]--
+		deg[o]--
+		nbr[o] ^= k
+		if deg[o] == 1 {
+			leaves = append(leaves, o)
 		}
 	}
-	for k, f := range flows {
-		if !used[k] {
-			return false // non-tree remnant
-		}
-		if f < -eps {
-			if !allowNegative {
-				return false // infeasible seed flow
+	t.nodes = leaves[:0]
+	for _, c := range cells {
+		if t.flow[t.idx(c)] < -t.tol && !allowNegative {
+			for _, c := range cells {
+				t.flow[t.idx(c)] = 0
 			}
-			continue // the repair's dual-simplex pass drives it back to 0
-		}
-		if f < 0 {
-			flows[k] = 0 // roundoff-level negative from the float balance
+			return false // infeasible seed flow
 		}
 	}
-	for k, c := range cells {
-		t.addBasic(c, flows[k])
+	for _, c := range cells {
+		f := t.flow[t.idx(c)]
+		if f < 0 && f >= -t.tol {
+			f = 0 // roundoff-level negative from the float balance
+		}
+		// Below -tol only under allowNegative: the repair's dual-simplex
+		// pass drives it back to 0.
+		t.addBasic(c, f)
 	}
 	return true
 }
@@ -444,8 +427,14 @@ func (t *transportTableau) warmStart(cells []cell, allowNegative bool) bool {
 // Flows and basis membership live in dense row-major arrays (flow is zero
 // on every nonbasic cell), so the MODI pricing scan and the output
 // assembly are straight array sweeps with no hashing.
+//
+// The tree is a graph on m+n nodes: node k < m is row k, node m+j is
+// column j. The scratch slices below are sized once per tableau, so
+// neither pricing nor pivoting allocates.
 type transportTableau struct {
-	m, n       int
+	m, n       int     // rows (the real sources and the dummy) and columns
+	dummy      int     // row index of the balancing dummy source
+	tol        float64 // amount tolerance (transportPrep.tol)
 	supply     []float64
 	demand     []float64
 	cost       [][]float64
@@ -455,19 +444,52 @@ type transportTableau struct {
 	rowBasics  [][]cell // basic cells per source row
 	colBasics  [][]cell // basic cells per sink column
 	iterations int
+
+	u, v   []float64 // potentials' output, overwritten by the next call
+	rem    []float64 // per node: remaining supply (rows) or demand (columns)
+	seen   []bool    // per node: visited by the current traversal
+	prev   []cell    // per node: tree cell the cycle search reached it by
+	parent []int     // per node: union-find forest
+	deg    []int     // per node: warm-start tree degree, or connect's component size
+	nodes  []int     // traversal stack or queue, capacity m+n
+	path   []cell    // cyclePath's result
+	offers offerHeap // leastCost's per-row offers
+	best   []offer   // per node: connect's cheapest outgoing cell
 }
 
 type cell struct{ i, j int }
 
-func newTransportTableau(supply, demand []float64, cost [][]float64) *transportTableau {
-	m, n := len(supply), len(demand)
+func newTransportTableau(prep *transportPrep) *transportTableau {
+	m, n := len(prep.supply), len(prep.demand)
+	nodes := m + n
+	floats := make([]float64, m*n+2*nodes)
+	bools := make([]bool, m*n+nodes)
+	ints := make([]int, 3*nodes)
+	// A spanning tree averages two cells per node, so each node's basic
+	// list starts with room for two; busier nodes grow their own.
+	const perNode = 2
+	cells := make([]cell, (2+perNode)*nodes)
+	adj := make([][]cell, nodes)
+	for k := range adj {
+		adj[k] = cells[perNode*k : perNode*k : perNode*(k+1)]
+	}
+	cells = cells[perNode*nodes:]
 	return &transportTableau{
-		m: m, n: n,
-		supply: supply, demand: demand, cost: cost,
-		flow:      make([]float64, m*n),
-		basic:     make([]bool, m*n),
-		rowBasics: make([][]cell, m),
-		colBasics: make([][]cell, n),
+		m: m, n: n, dummy: prep.dummy, tol: prep.tol,
+		supply: prep.supply, demand: prep.demand, cost: prep.cost,
+		flow:      floats[:m*n],
+		basic:     bools[:m*n],
+		rowBasics: adj[:m],
+		colBasics: adj[m:],
+		u:         floats[m*n : m*n+m],
+		v:         floats[m*n+m : m*n+nodes],
+		rem:       floats[m*n+nodes:],
+		seen:      bools[m*n:],
+		prev:      cells[:nodes],
+		path:      cells[nodes:nodes],
+		parent:    ints[:nodes],
+		deg:       ints[nodes : 2*nodes],
+		nodes:     ints[2*nodes : 2*nodes],
 	}
 }
 
@@ -503,82 +525,249 @@ func removeCell(s []cell, c cell) []cell {
 
 func (t *transportTableau) flowAt(i, j int) float64 { return t.flow[i*t.n+j] }
 
-// initialBasis builds a basic feasible solution with the least-cost
-// method, then pads zero-flow basics until the basis is a spanning tree
-// with exactly m+n-1 cells.
+// resetForest makes every node its own union-find tree.
+func (t *transportTableau) resetForest() {
+	for k := range t.parent {
+		t.parent[k] = k
+	}
+}
+
+// find returns node x's union-find root, halving the path as it goes.
+func (t *transportTableau) find(x int) int {
+	p := t.parent
+	for p[x] != x {
+		p[x] = p[p[x]]
+		x = p[x]
+	}
+	return x
+}
+
+// union joins the trees of nodes a and b, reporting false when they were
+// already one tree.
+func (t *transportTableau) union(a, b int) bool {
+	ra, rb := t.find(a), t.find(b)
+	if ra == rb {
+		return false
+	}
+	t.parent[ra] = rb
+	return true
+}
+
+// initialBasis builds the cold start: the least-cost method over the real
+// rows, then the dummy row on whatever sink capacity they left, then
+// zero-flow padding until the basis is a spanning tree with exactly m+n-1
+// cells.
+//
+// The dummy goes last because its lanes all cost 0: in one cost order with
+// the real cells it would claim the cheapest sinks before any real source
+// shipped, and MODI would spend most of its pivots moving that slack back.
 func (t *transportTableau) initialBasis() {
-	type costCell struct {
-		c    float64
-		cell cell
+	remS, remD := t.rem[:t.m], t.rem[t.m:]
+	copy(remS, t.supply)
+	copy(remD, t.demand)
+	t.leastCost(remS, remD, t.addBasic)
+	d := t.dummy
+	for j := 0; j < t.n && remS[d] > 0; j++ {
+		if remD[j] > 0 {
+			f := math.Min(remS[d], remD[j])
+			t.addBasic(cell{d, j}, f)
+			remS[d] -= f
+			remD[j] -= f
+		}
 	}
-	all := make([]costCell, 0, t.m*t.n)
+	t.connect(nil)
+}
+
+// leastCost runs the least-cost method over the real rows: ship as much as
+// possible on the cheapest lane whose row and column both have something
+// left, ties broken by (row, column), until no such lane remains. The
+// cutoffs are exact, not eps: a sub-eps supply must still ship so the
+// forbidden-lane audit can see where it went (the output zeroes sub-eps
+// flows either way). Forbidden lanes carry the Big-M cost, so they come
+// last. Each shipment is handed to ship.
+//
+// The order is that of a sort over the real cells, without the sort: every
+// row with supply left offers its cheapest live column to a min-heap keyed
+// (cost, row, column), and a row is re-scanned only when the column it
+// offered has run out. Liveness only ever shrinks, so an offer's key never
+// exceeds its row's current cheapest, and a popped offer whose column is
+// still live is the cheapest live cell overall — the next cell the sorted
+// walk would ship on. The work is one O(n) scan per row plus one per
+// exhausted offer, against the sort's O(m·n·log(m·n)).
+func (t *transportTableau) leastCost(remS, remD []float64, ship func(c cell, f float64)) {
+	h := t.offers[:0]
 	for i := 0; i < t.m; i++ {
-		for j := 0; j < t.n; j++ {
-			all = append(all, costCell{t.cost[i][j], cell{i, j}})
+		if i != t.dummy && remS[i] > 0 {
+			if o, ok := t.cheapestLive(i, remD); ok {
+				h.push(o)
+			}
 		}
 	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].c != all[b].c {
-			return all[a].c < all[b].c
+	for len(h) > 0 {
+		o := h.pop()
+		if remD[o.j] > 0 {
+			f := math.Min(remS[o.i], remD[o.j])
+			ship(cell{o.i, o.j}, f)
+			remS[o.i] -= f
+			remD[o.j] -= f
+			if remS[o.i] <= 0 {
+				continue // row done (min(s, d) subtracts to exactly 0)
+			}
 		}
-		if all[a].cell.i != all[b].cell.i {
-			return all[a].cell.i < all[b].cell.i
+		// The offered column has run out: offer the row's next cheapest.
+		if next, ok := t.cheapestLive(o.i, remD); ok {
+			h.push(next)
 		}
-		return all[a].cell.j < all[b].cell.j
-	})
+	}
+	t.offers = h
+}
 
-	remS := append([]float64(nil), t.supply...)
-	remD := append([]float64(nil), t.demand...)
-	for _, cc := range all {
-		i, j := cc.cell.i, cc.cell.j
-		// Exact cutoffs, not eps: a sub-eps supply must still ship so the
-		// forbidden-lane check can see where it went (the output zeroes
-		// sub-eps flows either way).
-		if remS[i] <= 0 || remD[j] <= 0 {
-			continue
+// cheapestLive returns row i's cheapest cell among the columns with demand
+// left, the lowest column on ties; ok is false when every column is spent.
+func (t *transportTableau) cheapestLive(i int, remD []float64) (o offer, ok bool) {
+	row := t.cost[i]
+	o = offer{i: i, j: -1}
+	for j, d := range remD {
+		if d > 0 && (o.j < 0 || row[j] < o.c) {
+			o.c, o.j = row[j], j
 		}
-		f := math.Min(remS[i], remD[j])
-		t.addBasic(cc.cell, f)
-		remS[i] -= f
-		remD[j] -= f
 	}
+	return o, o.j >= 0
+}
 
-	// Union-find over row-nodes [0,m) and col-nodes [m, m+n) to pad the
-	// basis into a spanning tree with zero-flow cells.
-	parent := make([]int, t.m+t.n)
-	for i := range parent {
-		parent[i] = i
+// offer is a candidate cell with its cost, ordered by (cost, row, column).
+type offer struct {
+	c    float64
+	i, j int
+}
+
+func (a offer) less(b offer) bool {
+	if a.c != b.c {
+		return a.c < b.c
 	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
+	if a.i != b.i {
+		return a.i < b.i
 	}
-	union := func(a, b int) bool {
-		ra, rb := find(a), find(b)
-		if ra == rb {
-			return false
-		}
-		parent[ra] = rb
-		return true
-	}
-	for _, cs := range t.rowBasics {
-		for _, c := range cs {
-			union(c.i, t.m+c.j)
-		}
-	}
-	for _, cc := range all {
-		if t.nbasic >= t.m+t.n-1 {
+	return a.j < b.j
+}
+
+// offerHeap is a binary min-heap of offers; container/heap's interface
+// indirection is avoided on the cold-start path.
+type offerHeap []offer
+
+func (h *offerHeap) push(o offer) {
+	*h = append(*h, o)
+	s := *h
+	for k := len(s) - 1; k > 0; {
+		up := (k - 1) / 2
+		if !s[k].less(s[up]) {
 			break
 		}
-		if t.basic[t.idx(cc.cell)] {
-			continue
+		s[k], s[up] = s[up], s[k]
+		k = up
+	}
+}
+
+func (h *offerHeap) pop() offer {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	s = s[:last]
+	for k := 0; ; {
+		small, l, r := k, 2*k+1, 2*k+2
+		if l < len(s) && s[l].less(s[small]) {
+			small = l
 		}
-		if union(cc.cell.i, t.m+cc.cell.j) {
-			t.addBasic(cc.cell, 0)
+		if r < len(s) && s[r].less(s[small]) {
+			small = r
+		}
+		if small == k {
+			break
+		}
+		s[k], s[small] = s[small], s[k]
+		k = small
+	}
+	*h = s
+	return top
+}
+
+// connect adds zero-flow basic cells until the basis spans every node it
+// can reach over allowed cells (all cells when allowed is nil). Each round
+// gives every tree component its cheapest allowed cell to another
+// component under the strict order (cost, row, column) — Borůvka's rule —
+// so the added cells are exactly those Kruskal's walk over the sorted
+// cells would add, without the sort. A round only scans cells with an end
+// outside the largest component, so a nearly spanning basis costs a few
+// row and column scans. Components joinable only over disallowed cells
+// stay apart.
+func (t *transportTableau) connect(allowed func(i, j int) bool) {
+	nodes := t.m + t.n
+	if t.best == nil {
+		t.best = make([]offer, nodes)
+	}
+	for t.nbasic < nodes-1 {
+		t.resetForest()
+		for _, cs := range t.rowBasics {
+			for _, c := range cs {
+				t.union(c.i, t.m+c.j)
+			}
+		}
+		// Flatten the forest so each node's root is one load, and find the
+		// largest component.
+		size := t.deg
+		clear(size)
+		main := 0
+		for k := range t.parent {
+			r := t.find(k)
+			t.parent[k] = r
+			if size[r]++; size[r] > size[main] {
+				main = r
+			}
+		}
+		root := t.parent
+		best := t.best
+		for k := range best {
+			best[k].j = -1
+		}
+		consider := func(i, j int) {
+			ri, rj := root[i], root[t.m+j]
+			if ri == rj || (allowed != nil && !allowed(i, j)) {
+				return
+			}
+			o := offer{t.cost[i][j], i, j}
+			if best[ri].j < 0 || o.less(best[ri]) {
+				best[ri] = o
+			}
+			if best[rj].j < 0 || o.less(best[rj]) {
+				best[rj] = o
+			}
+		}
+		for i := 0; i < t.m; i++ {
+			if root[i] != main {
+				for j := 0; j < t.n; j++ {
+					consider(i, j)
+				}
+			}
+		}
+		for j := 0; j < t.n; j++ {
+			if root[t.m+j] != main {
+				for i := 0; i < t.m; i++ {
+					if root[i] == main {
+						consider(i, j)
+					}
+				}
+			}
+		}
+		added := false
+		for _, o := range best {
+			if o.j >= 0 && t.union(o.i, t.m+o.j) {
+				t.addBasic(cell{o.i, o.j}, 0)
+				added = true
+			}
+		}
+		if !added {
+			return
 		}
 	}
 }
@@ -605,164 +794,113 @@ func (t *transportTableau) evictForbidden(forbidden func(i, j int) bool) {
 	for _, c := range evict {
 		t.removeBasic(c)
 	}
-
-	parent := make([]int, t.m+t.n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) bool {
-		ra, rb := find(a), find(b)
-		if ra == rb {
-			return false
-		}
-		parent[ra] = rb
-		return true
-	}
-	for _, cs := range t.rowBasics {
-		for _, c := range cs {
-			union(c.i, t.m+c.j)
-		}
-	}
-	type costCell struct {
-		c    float64
-		cell cell
-	}
-	all := make([]costCell, 0, t.m*t.n)
-	for i := 0; i < t.m; i++ {
-		for j := 0; j < t.n; j++ {
-			if forbidden(i, j) {
-				continue
-			}
-			all = append(all, costCell{t.cost[i][j], cell{i, j}})
-		}
-	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].c != all[b].c {
-			return all[a].c < all[b].c
-		}
-		if all[a].cell.i != all[b].cell.i {
-			return all[a].cell.i < all[b].cell.i
-		}
-		return all[a].cell.j < all[b].cell.j
-	})
-	for _, cc := range all {
-		if t.basic[t.idx(cc.cell)] {
-			continue
-		}
-		if union(cc.cell.i, t.m+cc.cell.j) {
-			t.addBasic(cc.cell, 0)
-		}
-	}
+	t.connect(func(i, j int) bool { return !forbidden(i, j) })
 }
 
-// potentials computes the MODI dual values u (rows) and v (cols) by
-// traversing the basis tree from row 0 with u[0] = 0.
+// potentials computes the MODI dual values u (rows) and v (cols) from the
+// basis tree with u = 0 at each component's lowest row. The slices are the
+// tableau's scratch: the next call overwrites them.
 func (t *transportTableau) potentials() (u, v []float64) {
-	u = make([]float64, t.m)
-	v = make([]float64, t.n)
-	seenRow := make([]bool, t.m)
-	seenCol := make([]bool, t.n)
-	type frame struct {
-		isRow bool
-		idx   int
+	t.treePotentials(t.u, t.v, nil)
+	return t.u, t.v
+}
+
+// treePotentials fills u and v from the basis tree, reading each basic
+// cell's cost from the dense row-major costAt when non-nil and from the
+// live cost matrix otherwise. One traversal serves both, so equal costs
+// yield bitwise-equal duals — the property the repair's dirty-set
+// detection relies on.
+func (t *transportTableau) treePotentials(u, v, costAt []float64) {
+	costOf := func(c cell) float64 {
+		if costAt != nil {
+			return costAt[t.idx(c)]
+		}
+		return t.cost[c.i][c.j]
 	}
+	seen := t.seen
+	clear(seen)
+	stack := t.nodes[:0]
 	for start := 0; start < t.m; start++ {
-		if seenRow[start] {
+		if seen[start] {
 			continue
 		}
-		seenRow[start] = true
+		seen[start] = true
 		u[start] = 0
-		stack := []frame{{true, start}}
+		stack = append(stack, start)
 		for len(stack) > 0 {
-			f := stack[len(stack)-1]
+			k := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			if f.isRow {
-				for _, c := range t.rowBasics[f.idx] {
-					if !seenCol[c.j] {
-						seenCol[c.j] = true
-						v[c.j] = t.cost[c.i][c.j] - u[c.i]
-						stack = append(stack, frame{false, c.j})
+			if k < t.m {
+				for _, c := range t.rowBasics[k] {
+					if col := t.m + c.j; !seen[col] {
+						seen[col] = true
+						v[c.j] = costOf(c) - u[c.i]
+						stack = append(stack, col)
 					}
 				}
 			} else {
-				for _, c := range t.colBasics[f.idx] {
-					if !seenRow[c.i] {
-						seenRow[c.i] = true
-						u[c.i] = t.cost[c.i][c.j] - v[c.j]
-						stack = append(stack, frame{true, c.i})
+				for _, c := range t.colBasics[k-t.m] {
+					if !seen[c.i] {
+						seen[c.i] = true
+						u[c.i] = costOf(c) - v[c.j]
+						stack = append(stack, c.i)
 					}
 				}
 			}
 		}
 	}
-	return u, v
+	t.nodes = stack[:0]
 }
 
 // cyclePath finds the unique path in the basis tree from row-node i to
 // col-node j, returned as the alternating cell sequence. Adding the
-// entering cell (i,j) to this path closes the pivot cycle.
+// entering cell (i,j) to this path closes the pivot cycle. The result is
+// the tableau's scratch, valid until the next call.
 func (t *transportTableau) cyclePath(i, j int) []cell {
-	// BFS over the tree from row i to col j. Nodes are encoded as ints:
-	// rows [0,m), cols [m, m+n).
-	seen := make([]bool, t.m+t.n)
-	prev := make([]cell, t.m+t.n)
+	seen := t.seen
+	clear(seen)
+	queue := t.nodes[:0]
 	seen[i] = true
-	queue := []int{i}
+	queue = append(queue, i)
 	target := t.m + j
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur == target {
-			break
-		}
+	for head := 0; head < len(queue) && !seen[target]; head++ {
+		cur := queue[head]
 		if cur < t.m {
 			for _, c := range t.rowBasics[cur] {
-				nk := t.m + c.j
-				if seen[nk] {
-					continue
+				if nk := t.m + c.j; !seen[nk] {
+					seen[nk] = true
+					t.prev[nk] = c
+					queue = append(queue, nk)
 				}
-				seen[nk] = true
-				prev[nk] = c
-				queue = append(queue, nk)
 			}
 		} else {
 			for _, c := range t.colBasics[cur-t.m] {
-				if seen[c.i] {
-					continue
+				if !seen[c.i] {
+					seen[c.i] = true
+					t.prev[c.i] = c
+					queue = append(queue, c.i)
 				}
-				seen[c.i] = true
-				prev[c.i] = c
-				queue = append(queue, c.i)
 			}
 		}
 	}
+	t.nodes = queue[:0]
 	if !seen[target] {
 		return nil // disconnected basis — should not happen with a spanning tree
 	}
 	// Walk back from target to source collecting cells.
-	var rev []cell
-	cur := target
-	for cur != i {
-		c := prev[cur]
-		rev = append(rev, c)
+	path := t.path[:0]
+	for cur := target; cur != i; {
+		c := t.prev[cur]
+		path = append(path, c)
 		if cur < t.m {
 			cur = t.m + c.j
 		} else {
 			cur = c.i
 		}
 	}
-	for a, b := 0, len(rev)-1; a < b; a, b = a+1, b-1 {
-		rev[a], rev[b] = rev[b], rev[a]
-	}
-	return rev
+	slices.Reverse(path)
+	t.path = path
+	return path
 }
 
 // pivot brings enter into the basis: it closes the cycle through the tree,
