@@ -122,6 +122,39 @@ type ClientConfig struct {
 // replay a manager message, and hosting arithmetic (+=) is not idempotent.
 const seenWindow = 4096
 
+// dupFilter remembers the last seenWindow accepted sequence numbers in a
+// ring that grows to seenWindow entries and then overwrites its oldest, so
+// a client's memory stays fixed however long it runs. Manager sequence
+// numbers are globally monotonic: a seq above every accepted one cannot be
+// in the ring and is accepted without a scan; only a replayed or reordered
+// seq pays for one.
+type dupFilter struct {
+	ring []uint64
+	next int    // slot the next accepted seq overwrites once the ring is full
+	max  uint64 // largest accepted seq, meaningful once the ring is non-empty
+}
+
+// duplicate reports whether seq is among the last seenWindow accepted
+// seqs, and accepts it otherwise.
+func (f *dupFilter) duplicate(seq uint64) bool {
+	if len(f.ring) == 0 || seq > f.max {
+		f.max = seq
+	} else {
+		for _, s := range f.ring {
+			if s == seq {
+				return true
+			}
+		}
+	}
+	if len(f.ring) < seenWindow {
+		f.ring = append(f.ring, seq)
+	} else {
+		f.ring[f.next] = seq
+		f.next = (f.next + 1) % seenWindow
+	}
+	return false
+}
+
 // Client is the per-device DUST agent.
 type Client struct {
 	cfg       ClientConfig
@@ -142,8 +175,7 @@ type Client struct {
 	seq            uint64
 	updateInterval float64
 	hosting        map[int]float64 // busy node -> hosted percentage
-	seen           map[uint64]struct{}
-	seenRing       []uint64
+	seen           dupFilter
 	// dialIdx is the Dialers index of the manager the client last
 	// successfully handshaked with (reconnects start there).
 	dialIdx int
@@ -174,7 +206,6 @@ func NewClient(cfg ClientConfig, conn proto.Conn) (*Client, error) {
 		rng:       rand.New(rand.NewSource(seed)),
 		reporter:  report.NewReporter(policy),
 		hosting:   make(map[int]float64),
-		seen:      make(map[uint64]struct{}),
 	}
 	if len(cfg.ProbePeers) > 0 {
 		c.pinger = probe.NewPinger(probe.PingerConfig{
@@ -367,16 +398,7 @@ func (c *Client) Step() (*proto.Message, error) {
 func (c *Client) isDuplicate(seq uint64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, dup := c.seen[seq]; dup {
-		return true
-	}
-	c.seen[seq] = struct{}{}
-	c.seenRing = append(c.seenRing, seq)
-	if len(c.seenRing) > seenWindow {
-		delete(c.seen, c.seenRing[0])
-		c.seenRing = c.seenRing[1:]
-	}
-	return false
+	return c.seen.duplicate(seq)
 }
 
 func (c *Client) dispatch(msg *proto.Message) {

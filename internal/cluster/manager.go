@@ -1646,8 +1646,8 @@ func (m *Manager) pickReplica(state *core.State, a core.Assignment, failed int) 
 // pickReplicaDirect scans candidates by hop-bounded response time from the
 // busy node without requiring it to classify busy.
 func (m *Manager) pickReplicaDirect(state *core.State, a core.Assignment, failed int, spare map[int]float64) (int, float64, bool) {
-	cost := graph.InverseRateCost(m.cfg.Params.EffectiveRate)
-	dist, _ := graph.HopBoundedShortest(state.G, a.Busy, m.cfg.Params.MaxHops, cost)
+	var sc graph.DPScratch
+	dist, _ := sc.ShortestPaths(state.G, a.Busy, m.cfg.Params.MaxHops, m.cfg.Params.CostVector(state.G))
 	best, bestSec := -1, math.Inf(1)
 	for cand, sp := range spare {
 		if cand == failed || sp < a.Amount-1e-9 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/graph"
@@ -11,6 +12,12 @@ import (
 // arbitrary link-rate drift — must produce bit-identical route tables and
 // placement results to a cold computation. Any divergence means the
 // revalidation rule kept a row the drift invalidated.
+//
+// Input layout: n = 4 + data[0]%6 nodes; data[1]%4 picks a ring, line,
+// star or RandomConnected graph (density and seed from data[3]); data[2]%8
+// is the hop bound, with 5..7 meaning unbounded like 0; then n node
+// utilizations, n data volumes, one utilization byte per edge (0 makes
+// the edge impassable) and one drift byte per edge (applied when ≡ 0 mod 3).
 func FuzzRouteCacheEquivalence(f *testing.F) {
 	f.Add([]byte{2, 0, 3, 0, 95, 30, 92, 20, 40, 60, 50, 0, 80, 0, 0, 0, 40, 50, 60, 70, 80, 90, 3, 90, 6, 9, 12, 33})
 	f.Add([]byte{0, 1, 0, 0, 85, 85, 10, 10, 99, 0, 0, 0, 10, 20, 30, 40, 1, 2, 3, 4})
@@ -22,13 +29,16 @@ func FuzzRouteCacheEquivalence(f *testing.F) {
 		}
 		n := 4 + int(data[0]%6)
 		var g *graph.Graph
-		switch data[1] % 3 {
+		switch data[1] % 4 {
 		case 0:
 			g = graph.Ring(n, 100)
 		case 1:
 			g = graph.Line(n, 100)
-		default:
+		case 2:
 			g = graph.Star(n, 100)
+		default:
+			density := 0.2 + 0.15*float64(data[3]%5)
+			g = graph.RandomConnected(n, density, 100, rand.New(rand.NewSource(int64(data[3]))))
 		}
 		ne := g.NumEdges()
 		need := 4 + 2*n + 2*ne
@@ -37,7 +47,9 @@ func FuzzRouteCacheEquivalence(f *testing.F) {
 		}
 		p := DefaultParams()
 		p.PathStrategy = PathDP
-		p.MaxHops = int(data[2] % 5)
+		if p.MaxHops = int(data[2] % 8); p.MaxHops > 4 {
+			p.MaxHops = 0
+		}
 		p.CacheEpsilon = 0
 
 		s := NewState(g)
@@ -86,6 +98,15 @@ func FuzzRouteCacheEquivalence(f *testing.F) {
 				for cj := range w[bi] {
 					if w[bi][cj] != c[bi][cj] {
 						t.Fatalf("T_rmin[%d][%d]: warm %g != cold %g", bi, cj, w[bi][cj], c[bi][cj])
+					}
+					wr, cr := warm.Routes.Route(bi, cj).Edges, cold.Routes.Route(bi, cj).Edges
+					if len(wr) != len(cr) {
+						t.Fatalf("route[%d][%d]: warm %v != cold %v", bi, cj, wr, cr)
+					}
+					for k := range wr {
+						if wr[k] != cr[k] {
+							t.Fatalf("route[%d][%d]: warm %v != cold %v", bi, cj, wr, cr)
+						}
 					}
 				}
 			}

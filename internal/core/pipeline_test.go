@@ -25,7 +25,7 @@ func routeTablesIdentical(t *testing.T, want, got *RouteTable, label string) {
 			if a != b && !(math.IsInf(a, 1) && math.IsInf(b, 1)) {
 				t.Fatalf("%s: Seconds[%d][%d] = %v vs %v", label, bi, cj, a, b)
 			}
-			pa, pb := want.Routes[bi][cj], got.Routes[bi][cj]
+			pa, pb := want.Route(bi, cj), got.Route(bi, cj)
 			if len(pa.Edges) != len(pb.Edges) {
 				t.Fatalf("%s: Routes[%d][%d] hops %d vs %d", label, bi, cj, pa.Hops(), pb.Hops())
 			}
@@ -130,7 +130,7 @@ func TestRouteCostTimesDataMatchesSeconds(t *testing.T) {
 						if math.IsInf(sec, 1) {
 							continue
 						}
-						route := rt.Routes[bi][cj]
+						route := rt.Route(bi, cj)
 						if route.Hops() == 0 && b != c.Candidates[cj] {
 							t.Fatalf("finite entry [%d][%d] with empty route", bi, cj)
 						}

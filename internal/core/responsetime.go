@@ -72,10 +72,22 @@ type RouteTable struct {
 	// Seconds[bi][cj] is T_rmin between Busy[bi] and Candidates[cj]; +Inf
 	// when no route exists within the hop bound.
 	Seconds [][]float64
-	// Routes[bi][cj] is the minimum-response-time path.
-	Routes [][]graph.Path
 	// PathsExplored counts enumerated simple paths (PathEnumerate only).
 	PathsExplored int
+	// paths[bi] holds busy row bi's minimum-response-time path to each
+	// node, indexed by node ID. Rows are shared with the route cache and
+	// never written after assembly, so a table costs no per-cell path
+	// copies.
+	paths [][]graph.Path
+}
+
+// Route returns the minimum-response-time path between Busy[bi] and
+// Candidates[cj], or the zero Path when Seconds[bi][cj] is +Inf.
+func (rt *RouteTable) Route(bi, cj int) graph.Path {
+	if math.IsInf(rt.Seconds[bi][cj], 1) {
+		return graph.Path{}
+	}
+	return rt.paths[bi][rt.Candidates[cj]]
 }
 
 // ComputeRoutes builds the route table for the classified state.
@@ -83,11 +95,13 @@ type RouteTable struct {
 // summing over a route and minimizing over the route set gives Eq. 2.
 // p.MaxHops <= 0 means unbounded.
 //
-// Both strategies are embarrassingly parallel per busy source, so the rows
-// are fanned out across a bounded worker pool sized by p.Parallelism; each
-// worker reuses one DP scratch across its rows. Every row is computed by
-// exactly one worker from the same immutable snapshot, so the resulting
-// table is identical — bit for bit — to a serial computation.
+// Every edge is priced once, into one cost vector (Params.CostVector) that
+// all rows share. Both strategies are embarrassingly parallel per busy
+// source, so the rows are fanned out across a bounded worker pool sized by
+// p.Parallelism; each worker reuses one DP scratch across its rows. Every
+// row is computed by exactly one worker from the same immutable snapshot,
+// so the resulting table is identical — bit for bit — to a serial
+// computation.
 func ComputeRoutes(s *State, c *Classification, p Params) (*RouteTable, error) {
 	switch p.PathStrategy {
 	case PathEnumerate, PathDP:
@@ -98,27 +112,27 @@ func ComputeRoutes(s *State, c *Classification, p Params) (*RouteTable, error) {
 		Busy:       c.Busy,
 		Candidates: c.Candidates,
 		Seconds:    make([][]float64, len(c.Busy)),
-		Routes:     make([][]graph.Path, len(c.Busy)),
+		paths:      make([][]graph.Path, len(c.Busy)),
 	}
-	cost := graph.InverseRateCost(p.EffectiveRate)
+	w := p.CostVector(s.G)
 	explored := make([]int, len(c.Busy))
 	errs := make([]error, len(c.Busy))
 
 	if workers := p.routeWorkers(len(c.Busy)); workers <= 1 {
 		sc := &graph.DPScratch{}
 		for bi := range c.Busy {
-			explored[bi], errs[bi] = computeRouteRow(s, c, rt, bi, p, cost, sc)
+			explored[bi], errs[bi] = computeRouteRow(s, c, rt, bi, p, w, sc)
 		}
 	} else {
 		work := make(chan int)
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		for range workers {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				sc := &graph.DPScratch{}
 				for bi := range work {
-					explored[bi], errs[bi] = computeRouteRow(s, c, rt, bi, p, cost, sc)
+					explored[bi], errs[bi] = computeRouteRow(s, c, rt, bi, p, w, sc)
 				}
 			}()
 		}
@@ -139,13 +153,13 @@ func ComputeRoutes(s *State, c *Classification, p Params) (*RouteTable, error) {
 	return rt, nil
 }
 
-// computeRouteRow fills one busy row of the route table, returning the
-// number of simple paths it enumerated. Rows touch disjoint table slots,
-// so rows can run concurrently as long as each has its own scratch.
-func computeRouteRow(s *State, c *Classification, rt *RouteTable, bi int, p Params, cost graph.EdgeCost, sc *graph.DPScratch) (explored int, err error) {
+// computeRouteRow fills one busy row of the route table under the cost
+// vector w, returning the number of simple paths it enumerated. Rows touch
+// disjoint table slots, so rows can run concurrently as long as each has
+// its own scratch.
+func computeRouteRow(s *State, c *Classification, rt *RouteTable, bi int, p Params, w []float64, sc *graph.DPScratch) (explored int, err error) {
 	b := c.Busy[bi]
 	secs := make([]float64, len(c.Candidates))
-	routes := make([]graph.Path, len(c.Candidates))
 	for j := range secs {
 		secs[j] = math.Inf(1)
 	}
@@ -158,6 +172,8 @@ func computeRouteRow(s *State, c *Classification, rt *RouteTable, bi int, p Para
 
 	switch p.PathStrategy {
 	case PathEnumerate:
+		cost := func(e graph.Edge) float64 { return w[e.ID] }
+		rt.paths[bi] = make([]graph.Path, s.G.NumNodes())
 		for cj, cand := range c.Candidates {
 			paths := graph.AllSimplePaths(s.G, b, cand, p.MaxHops, 0)
 			explored += len(paths)
@@ -180,20 +196,18 @@ func computeRouteRow(s *State, c *Classification, rt *RouteTable, bi int, p Para
 					best, bestPath = t, path
 				}
 			}
-			secs[cj], routes[cj] = best, bestPath
+			secs[cj], rt.paths[bi][cand] = best, bestPath
 		}
 	case PathDP:
-		dist, paths := sc.HopBoundedShortest(s.G, b, p.MaxHops, cost)
+		dist, paths := sc.ShortestPaths(s.G, b, p.MaxHops, w)
 		for cj, cand := range c.Candidates {
-			if math.IsInf(dist[cand], 1) {
-				continue
+			if !math.IsInf(dist[cand], 1) {
+				secs[cj] = data * dist[cand]
 			}
-			secs[cj] = data * dist[cand]
-			routes[cj] = paths[cand]
 		}
+		rt.paths[bi] = paths
 	}
 	rt.Seconds[bi] = secs
-	rt.Routes[bi] = routes
 	return explored, nil
 }
 

@@ -17,22 +17,28 @@ import (
 // assembly time, so role churn alone never invalidates), the rate model,
 // and the hop bound.
 //
-// Revalidation rule, per edge whose model rate Lu drifted since the row's
-// snapshot:
+// Each round reads every edge's effective rate once, from one snapshot of
+// the measurement overlay. Revalidation rule, per edge whose rate Lu
+// drifted since the cache's snapshot:
 //
 //   - drift within CacheEpsilon (relative): the change is absorbed — every
-//     row is reused as is, with response-time error bounded by ~MaxHops·ε.
-//   - Lu increased beyond ε (per-hop cost 1/Lu dropped): evict the rows
-//     whose hop-bounded candidate frontier contains the edge — a cheaper
-//     edge inside the frontier can create a better route, one outside it
-//     cannot be on any route.
+//     row is reused as is, with the response-time error bound given at
+//     Params.CacheEpsilon.
+//   - Lu increased beyond ε (per-hop cost 1/Lu dropped to w′), unbounded
+//     hops: evict the rows the edge (u, v) can improve, those with
+//     dist[u] + w′ ≤ dist[v] + slack from a reachable u, or the mirror
+//     (cacheRow.mayImprove). Any other row keeps every dist and path.
+//   - Lu increased beyond ε, bounded hops: evict the rows whose hop-bounded
+//     candidate frontier contains the edge — a cheaper edge inside the
+//     frontier can create a better route, one outside it cannot be on any
+//     route.
 //   - Lu decreased beyond ε (cost rose, or the edge became impassable):
 //     evict only the rows whose cached routes use the edge — routes that
 //     avoid an edge stay optimal when that edge gets worse.
 //
-// With CacheEpsilon = 0 both rules are exact: a warm solve returns the
-// same table a cold solve would. Sub-ε drift accumulates against the
-// snapshot, so a slow ramp still evicts once it crosses ε in total.
+// With CacheEpsilon = 0 the rules are exact: a warm solve returns the same
+// table a cold solve would. Sub-ε drift accumulates against the snapshot,
+// so a slow ramp still evicts once it crosses ε in total.
 //
 // Only the PathDP strategy is cached (exhaustive enumeration is dominated
 // by per-pair path explosion by design); other strategies pass through to
@@ -54,20 +60,26 @@ type RouteCache struct {
 	mver uint64
 	// lu[i] is the model-resolved rate of edge i the surviving rows were
 	// validated against (updated only when an edge's drift crosses ε).
-	lu   []float64
-	rows map[int]*cacheRow
-	st   CacheStats
+	lu []float64
+	// rates is the current round's effective rate per edge.
+	rates []float64
+	rows  map[int]*cacheRow
+	st    CacheStats
 }
 
 // cacheRow is one source's per-unit (per-Mb) route computation.
 type cacheRow struct {
 	dist  []float64
 	paths []graph.Path
-	// frontier marks edges within the hop bound of the source; used marks
-	// the subset on some cached optimal path. They drive the two
-	// invalidation rules above.
+	// used marks the edges on some cached optimal path: a dearer edge
+	// evicts exactly the rows that use it.
+	used []bool
+	// frontier marks the edges within the hop bound of the source, which a
+	// cheaper edge must lie in to evict the row. Nil under unbounded hops,
+	// where a cheaper edge is tested against dist instead (mayImprove).
 	frontier []bool
-	used     []bool
+	// slack absorbs float rounding in mayImprove (see roundingSlack).
+	slack float64
 }
 
 // CacheStats counts cache traffic (for tests, telemetry, and tuning).
@@ -111,11 +123,12 @@ func (rc *RouteCache) ComputeRoutes(s *State, c *Classification) (*RouteTable, e
 	if rc.params.PathStrategy != PathDP {
 		return ComputeRoutes(s, c, rc.params)
 	}
-	cost := graph.InverseRateCost(rc.params.EffectiveRate)
 
 	rc.mu.Lock()
-	rc.revalidate(s.G)
-	version, mver := rc.version, rc.mver
+	var mver uint64
+	rc.rates, mver = rc.params.edgeRates(s.G, rc.rates)
+	rc.revalidate(s.G, rc.rates, mver)
+	version := rc.version
 	entries := make([]*cacheRow, len(c.Busy))
 	var missing []int // indices into c.Busy
 	for bi, b := range c.Busy {
@@ -127,6 +140,14 @@ func (rc *RouteCache) ComputeRoutes(s *State, c *Classification) (*RouteTable, e
 			rc.st.Misses++
 		}
 	}
+	// The round's cost vector, shared read-only by every worker.
+	var w []float64
+	if len(missing) > 0 {
+		w = make([]float64, len(rc.rates))
+		for i, r := range rc.rates {
+			w[i] = graph.InverseRate(r)
+		}
+	}
 	rc.mu.Unlock()
 
 	if len(missing) > 0 {
@@ -135,18 +156,18 @@ func (rc *RouteCache) ComputeRoutes(s *State, c *Classification) (*RouteTable, e
 		if workers <= 1 {
 			sc := &graph.DPScratch{}
 			for mi, bi := range missing {
-				fresh[mi] = rc.computeRow(s.G, c.Busy[bi], cost, sc)
+				fresh[mi] = rc.computeRow(s.G, c.Busy[bi], w, sc)
 			}
 		} else {
 			work := make(chan int)
 			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
+			for range workers {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
 					sc := &graph.DPScratch{}
 					for mi := range work {
-						fresh[mi] = rc.computeRow(s.G, c.Busy[missing[mi]], cost, sc)
+						fresh[mi] = rc.computeRow(s.G, c.Busy[missing[mi]], w, sc)
 					}
 				}()
 			}
@@ -157,11 +178,9 @@ func (rc *RouteCache) ComputeRoutes(s *State, c *Classification) (*RouteTable, e
 			wg.Wait()
 		}
 		rc.mu.Lock()
-		// Only store if the cache generation is still current (a concurrent
-		// mutation, graph swap, or measurement report may have invalidated
-		// the computation).
-		store := rc.g == s.G && rc.version == version &&
-			rc.mver == mver && rc.measuredVersion() == mver
+		// Only store if the cache generation is still current: a concurrent
+		// round may have revalidated against a newer graph or overlay.
+		store := rc.g == s.G && rc.version == version && rc.mver == mver
 		for mi, bi := range missing {
 			entries[bi] = fresh[mi]
 			if store {
@@ -174,48 +193,87 @@ func (rc *RouteCache) ComputeRoutes(s *State, c *Classification) (*RouteTable, e
 	return assembleRouteTable(s, c, entries)
 }
 
-// computeRow runs the hop-bounded DP for one source and derives its
-// invalidation sets.
-func (rc *RouteCache) computeRow(g *graph.Graph, src int, cost graph.EdgeCost, sc *graph.DPScratch) *cacheRow {
-	dist, paths := sc.HopBoundedShortest(g, src, rc.params.MaxHops, cost)
-	used := make([]bool, g.NumEdges())
+// unboundedHops reports whether a hop bound lets the DP run to
+// convergence on an n-node graph.
+func unboundedHops(maxHops, n int) bool { return maxHops <= 0 || maxHops >= n }
+
+// computeRow runs the hop-bounded DP for one source under the round's cost
+// vector w and derives its invalidation data.
+func (rc *RouteCache) computeRow(g *graph.Graph, src int, w []float64, sc *graph.DPScratch) *cacheRow {
+	dist, paths := sc.ShortestPaths(g, src, rc.params.MaxHops, w)
+	row := &cacheRow{dist: dist, paths: paths, used: make([]bool, g.NumEdges())}
 	for _, p := range paths {
 		for _, id := range p.Edges {
-			used[id] = true
+			row.used[id] = true
 		}
 	}
-	return &cacheRow{
-		dist:     dist,
-		paths:    paths,
-		frontier: graph.EdgeFrontier(g, src, rc.params.MaxHops),
-		used:     used,
+	if unboundedHops(rc.params.MaxHops, g.NumNodes()) {
+		row.slack = roundingSlack(dist)
+	} else {
+		row.frontier = graph.EdgeFrontier(g, src, rc.params.MaxHops)
 	}
+	return row
 }
 
-// measuredVersion reads the measurement overlay's version (0 when
-// measured costs are disabled).
-func (rc *RouteCache) measuredVersion() uint64 {
-	if rc.params.Measured == nil {
-		return 0
+// roundingSlack is n ulps of the row's largest finite dist, n = len(dist).
+// A walk entering a cheaper edge strictly above dist + slack at its far
+// end stays strictly above the row's optimum at every node it reaches: it
+// takes at most n−1 further additions, each of which can narrow the gap to
+// the optimal walk by at most one ulp of the values involved while they
+// stay within the row's largest dist. So such an edge can neither improve
+// nor tie any cost the DP compares, and the row's dist and paths are what
+// a cold DP would return.
+func roundingSlack(dist []float64) float64 {
+	top := 0.0
+	for _, d := range dist {
+		if d > top && !math.IsInf(d, 1) {
+			top = d
+		}
 	}
-	return rc.params.Measured.Version()
+	return float64(len(dist)) * (math.Nextafter(top, math.Inf(1)) - top)
+}
+
+// mayImprove is the unbounded-hops test for an edge whose cost fell to w:
+// entered from a reachable endpoint, it must reach the other endpoint at no
+// more than that endpoint's cost plus the row's rounding slack to change
+// anything. An exact tie counts, since it can flip the DP's tie-break.
+func (row *cacheRow) mayImprove(e graph.Edge, w float64) bool {
+	du, dv := row.dist[e.U], row.dist[e.V]
+	return !math.IsInf(du, 1) && du+w <= dv+row.slack ||
+		!math.IsInf(dv, 1) && dv+w <= du+row.slack
+}
+
+// stale reports whether the edges that got cheaper or dearer beyond ε can
+// change the row. rates holds the edges' current effective rates.
+func (row *cacheRow) stale(g *graph.Graph, cheaper, dearer []int, rates []float64) bool {
+	for _, i := range dearer {
+		if row.used[i] {
+			return true
+		}
+	}
+	for _, i := range cheaper {
+		if row.frontier != nil {
+			if row.frontier[i] {
+				return true
+			}
+		} else if row.mayImprove(g.Edge(graph.EdgeID(i)), graph.InverseRate(rates[i])) {
+			return true
+		}
+	}
+	return false
 }
 
 // revalidate brings the cache up to the graph's current generation and
-// the measurement overlay's current version, evicting exactly the rows
-// the effective-rate drift can affect. Called with rc.mu held.
-func (rc *RouteCache) revalidate(g *graph.Graph) {
-	ne := g.NumEdges()
-	mver := rc.measuredVersion()
-	if g != rc.g || len(rc.lu) != ne {
+// the measurement overlay version mver, whose effective rates per edge are
+// rates, evicting exactly the rows the drift can affect. Called with rc.mu
+// held.
+func (rc *RouteCache) revalidate(g *graph.Graph, rates []float64, mver uint64) {
+	if g != rc.g || len(rc.lu) != len(rates) {
 		// New graph instance or structural change: full reset.
 		rc.g = g
 		rc.version = g.Version()
 		rc.mver = mver
-		rc.lu = make([]float64, ne)
-		for i := range rc.lu {
-			rc.lu[i] = rc.params.EffectiveRate(g.Edge(graph.EdgeID(i)))
-		}
+		rc.lu = append(rc.lu[:0], rates...)
 		rc.rows = make(map[int]*cacheRow)
 		rc.st.Flushes++
 		return
@@ -225,8 +283,7 @@ func (rc *RouteCache) revalidate(g *graph.Graph) {
 	}
 	eps := rc.params.CacheEpsilon
 	var cheaper, dearer []int // edge IDs whose per-hop cost dropped / rose beyond ε
-	for i := 0; i < ne; i++ {
-		nl := rc.params.EffectiveRate(g.Edge(graph.EdgeID(i)))
+	for i, nl := range rates {
 		ol := rc.lu[i]
 		if nl == ol {
 			continue
@@ -247,22 +304,7 @@ func (rc *RouteCache) revalidate(g *graph.Graph) {
 		return
 	}
 	for src, row := range rc.rows {
-		evict := false
-		for _, i := range cheaper {
-			if row.frontier[i] {
-				evict = true
-				break
-			}
-		}
-		if !evict {
-			for _, i := range dearer {
-				if row.used[i] {
-					evict = true
-					break
-				}
-			}
-		}
-		if evict {
+		if row.stale(g, cheaper, dearer, rates) {
 			delete(rc.rows, src)
 			rc.st.Evicted++
 		}
@@ -276,7 +318,7 @@ func assembleRouteTable(s *State, c *Classification, entries []*cacheRow) (*Rout
 		Busy:       c.Busy,
 		Candidates: c.Candidates,
 		Seconds:    make([][]float64, len(c.Busy)),
-		Routes:     make([][]graph.Path, len(c.Busy)),
+		paths:      make([][]graph.Path, len(c.Busy)),
 	}
 	for bi, b := range c.Busy {
 		data := s.effectiveDataMb(b)
@@ -285,17 +327,15 @@ func assembleRouteTable(s *State, c *Classification, entries []*cacheRow) (*Rout
 		}
 		row := entries[bi]
 		secs := make([]float64, len(c.Candidates))
-		routes := make([]graph.Path, len(c.Candidates))
 		for cj, cand := range c.Candidates {
 			if math.IsInf(row.dist[cand], 1) {
 				secs[cj] = math.Inf(1)
 				continue
 			}
 			secs[cj] = data * row.dist[cand]
-			routes[cj] = row.paths[cand]
 		}
 		rt.Seconds[bi] = secs
-		rt.Routes[bi] = routes
+		rt.paths[bi] = row.paths
 	}
 	return rt, nil
 }

@@ -56,10 +56,13 @@ type Params struct {
 	Parallelism int
 	// CacheEpsilon is the RouteCache's relative link-rate drift tolerance:
 	// a cached row is revalidated (reused) while every edge's Lu has
-	// drifted by at most this fraction since the row was computed, bounding
-	// the cached response times' relative error by roughly MaxHops·ε.
-	// 0 keeps revalidation exact: any rate change evicts exactly the rows
-	// it can affect.
+	// drifted by at most this fraction of the cache's per-edge snapshot.
+	// A relative rate drift of at most ε moves each 1/Lu cost, and so every
+	// path sum whatever its hop count, by a factor of at most 1/(1−ε); a
+	// row computed up to ε away from the snapshot and a current rate up to
+	// ε away on the other side bound the cached response times' relative
+	// error by (1 + ε/(1−ε))² − 1 ≈ 2ε. 0 keeps revalidation exact: any
+	// rate change evicts exactly the rows it can affect.
 	CacheEpsilon float64
 	// WarmSolve lets a Planner seed each transportation solve from the
 	// previous round's optimal basis when the busy/candidate split is
@@ -96,6 +99,42 @@ func (p Params) EffectiveRate(e graph.Edge) float64 {
 		r *= p.Measured.RateFactor(e.ID)
 	}
 	return r
+}
+
+// CostVector prices every edge of g for one route round: the InverseRate
+// of its EffectiveRate, indexed by EdgeID. The measurement overlay is read
+// once, so every route of the round sees the same measurements even while
+// probes keep reporting.
+func (p Params) CostVector(g *graph.Graph) []float64 {
+	w, _ := p.edgeRates(g, nil)
+	for i, r := range w {
+		w[i] = graph.InverseRate(r)
+	}
+	return w
+}
+
+// edgeRates resolves EffectiveRate for every edge of g into dst (grown as
+// needed) from one snapshot of the measurement overlay, and returns the
+// overlay version the snapshot reflects (0 without an overlay).
+func (p Params) edgeRates(g *graph.Graph, dst []float64) ([]float64, uint64) {
+	ne := g.NumEdges()
+	var mver uint64
+	if p.Measured != nil {
+		dst, mver = p.Measured.Factors(dst, ne)
+	} else {
+		if cap(dst) < ne {
+			dst = make([]float64, ne)
+		}
+		dst = dst[:ne]
+	}
+	for i := range dst {
+		r := p.RateModel.rate(g.Edge(graph.EdgeID(i)))
+		if p.Measured != nil {
+			r *= dst[i]
+		}
+		dst[i] = r
+	}
+	return dst, mver
 }
 
 // DefaultParams returns the configuration used by the paper's evaluation:
@@ -307,7 +346,7 @@ func extractTransport(c *Classification, rt *RouteTable, res *Result, sol *lp.Tr
 					Candidate:       c.Candidates[cj],
 					Amount:          f,
 					ResponseTimeSec: rt.Seconds[bi][cj],
-					Route:           rt.Routes[bi][cj],
+					Route:           rt.Route(bi, cj),
 				})
 			}
 		}
@@ -455,7 +494,7 @@ func solveLP(s *State, c *Classification, rt *RouteTable, res *Result, integral 
 					Candidate:       c.Candidates[cj],
 					Amount:          f,
 					ResponseTimeSec: rt.Seconds[bi][cj],
-					Route:           rt.Routes[bi][cj],
+					Route:           rt.Route(bi, cj),
 				})
 			}
 		}

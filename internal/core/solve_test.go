@@ -38,8 +38,8 @@ func TestComputeRoutesKnownTimes(t *testing.T) {
 	if math.Abs(rt.Seconds[0][1]-4) > 1e-12 {
 		t.Fatalf("Trmin(0→2) = %g, want 4", rt.Seconds[0][1])
 	}
-	if rt.Routes[0][1].Hops() != 2 {
-		t.Fatalf("route hops = %d, want 2", rt.Routes[0][1].Hops())
+	if rt.Route(0, 1).Hops() != 2 {
+		t.Fatalf("route hops = %d, want 2", rt.Route(0, 1).Hops())
 	}
 	if rt.PathsExplored == 0 {
 		t.Fatal("enumeration should report explored paths")

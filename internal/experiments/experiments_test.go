@@ -154,19 +154,17 @@ func TestFig10Shape(t *testing.T) {
 		t.Fatalf("want 8-k and 16-k sweeps, got %d results", len(results))
 	}
 	for _, r := range results {
-		// Cost must grow with max-hop (enumeration explosion).
+		// Cost must grow with max-hop (enumeration explosion), counted as
+		// enumerated paths rather than timed.
 		first, last := r.Points[0], r.Points[len(r.Points)-1]
-		if last.MeanTime <= first.MeanTime {
-			t.Fatalf("%d-k: time not growing with max-hop: %v → %v", r.K, first.MeanTime, last.MeanTime)
-		}
 		if last.PathsExplored <= first.PathsExplored {
-			t.Fatalf("%d-k: paths not growing with max-hop", r.K)
+			t.Fatalf("%d-k: paths not growing with max-hop: %.0f → %.0f", r.K, first.PathsExplored, last.PathsExplored)
 		}
 	}
-	// 16-k at the same hop bound costs more than 8-k (scale explosion).
-	if results[1].Points[len(results[1].Points)-1].MeanTime <=
-		results[0].Points[1].MeanTime {
-		t.Fatalf("16-k deepest sweep should dominate 8-k shallow sweep")
+	// The 16-k deepest sweep does more work than the 8-k shallow one
+	// (scale explosion).
+	if deep, shallow := results[1].Points[len(results[1].Points)-1].PathsExplored, results[0].Points[1].PathsExplored; deep <= shallow {
+		t.Fatalf("16-k deepest sweep enumerated %.0f paths, 8-k shallow sweep %.0f: want more", deep, shallow)
 	}
 }
 
@@ -216,15 +214,16 @@ func TestFig11Shape(t *testing.T) {
 			t.Fatalf("power-law exponent = %.2f, want negative near -0.5", res.PowerLawExponent)
 		}
 	}
-	// Optimization time grows with scale where it ran.
-	var optTimes []float64
+	// Optimization work grows with scale where it ran, counted as
+	// enumerated paths rather than timed.
+	var optPaths []float64
 	for _, p := range res.Points {
 		if p.OptRan {
-			optTimes = append(optTimes, p.MeanOptTime.Seconds())
+			optPaths = append(optPaths, p.MeanOptPaths)
 		}
 	}
-	if len(optTimes) < 2 || optTimes[len(optTimes)-1] <= optTimes[0] {
-		t.Fatalf("optimization time should grow with scale: %v", optTimes)
+	if len(optPaths) < 2 || optPaths[len(optPaths)-1] <= optPaths[0] {
+		t.Fatalf("optimization work should grow with scale: %v paths", optPaths)
 	}
 	// Heuristic stays far cheaper than optimization at the largest
 	// optimized scale: it prices one-hop routes where optimization
@@ -246,14 +245,15 @@ func TestFig12Shape(t *testing.T) {
 	if len(res.Points) != 5 {
 		t.Fatalf("points = %d, want 5 scales", len(res.Points))
 	}
-	// Runtime grows with network size; endpoints are what matter.
+	// Work grows with network size, counted as routes priced rather than
+	// timed; endpoints are what matter.
 	first, last := res.Points[0], res.Points[len(res.Points)-1]
 	if last.Nodes != 5120 || last.Edges != 131072 {
 		t.Fatalf("largest point = %d nodes/%d edges, want the 64-k sizes", last.Nodes, last.Edges)
 	}
-	if last.MeanTime <= first.MeanTime {
-		t.Fatalf("heuristic time should grow with size: %v (20 nodes) vs %v (5120 nodes)",
-			first.MeanTime, last.MeanTime)
+	if last.MeanRoutesPriced <= first.MeanRoutesPriced {
+		t.Fatalf("heuristic work should grow with size: %.0f routes priced (20 nodes) vs %.0f (5120 nodes)",
+			first.MeanRoutesPriced, last.MeanRoutesPriced)
 	}
 	for _, p := range res.Points {
 		if p.MeanPlacedPct <= 0 || p.MeanPlacedPct > 100 {

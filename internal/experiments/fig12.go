@@ -16,7 +16,10 @@ type Fig12Point struct {
 	MaxTime         time.Duration
 	MeanBusy        float64
 	MeanPlacedPct   float64 // share of required offload the heuristic placed
-	Iterations      int
+	// MeanRoutesPriced is the mean number of one-hop routes the heuristic
+	// priced: the deterministic counterpart of MeanTime.
+	MeanRoutesPriced float64
+	Iterations       int
 }
 
 // Fig12Result reproduces Figure 12: heuristic execution time versus
@@ -47,7 +50,7 @@ func Fig12HeuristicScale(cfg Config) (*Fig12Result, error) {
 		rng := rand.New(rand.NewSource(cfg.Seed))
 		var times metrics.Summary
 		var busy metrics.Summary
-		var placed metrics.Summary
+		var placed, routes metrics.Summary
 		for i := 0; i < iters; i++ {
 			s, err := scenario(k, sc, rng)
 			if err != nil {
@@ -59,6 +62,7 @@ func Fig12HeuristicScale(cfg Config) (*Fig12Result, error) {
 			}
 			times.Add(h.Duration.Seconds())
 			busy.Add(float64(len(h.Classification.Busy)))
+			routes.Add(float64(h.RoutesPriced))
 			if total := h.Classification.TotalCs(); total > 0 {
 				placed.Add(h.TotalPlaced() / total * 100)
 			}
@@ -66,11 +70,12 @@ func Fig12HeuristicScale(cfg Config) (*Fig12Result, error) {
 		nodes, edges := graphSizes(k)
 		res.Points = append(res.Points, Fig12Point{
 			K: k, Nodes: nodes, Edges: edges,
-			MeanTime:      time.Duration(times.Mean() * float64(time.Second)),
-			MaxTime:       time.Duration(times.Max() * float64(time.Second)),
-			MeanBusy:      busy.Mean(),
-			MeanPlacedPct: placed.Mean(),
-			Iterations:    iters,
+			MeanTime:         time.Duration(times.Mean() * float64(time.Second)),
+			MaxTime:          time.Duration(times.Max() * float64(time.Second)),
+			MeanBusy:         busy.Mean(),
+			MeanPlacedPct:    placed.Mean(),
+			MeanRoutesPriced: routes.Mean(),
+			Iterations:       iters,
 		})
 	}
 	return res, nil

@@ -153,6 +153,31 @@ func (mc *MeasuredCosts) RateFactor(id EdgeID) float64 {
 	return me.factor(mc.lossCut)
 }
 
+// Factors writes the rate factor of every edge ID in [0, n) into dst
+// (grown as needed) and returns it with the version it reflects. It sweeps
+// staleness once and copies every factor under one lock, so a route round
+// that reads the overlay through Factors prices all edges against the same
+// measurements even while Observe runs concurrently, and pays one lock per
+// round instead of one per edge.
+func (mc *MeasuredCosts) Factors(dst []float64, n int) ([]float64, uint64) {
+	if cap(dst) < n {
+		dst = make([]float64, n)
+	}
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = 1
+	}
+	mc.mu.Lock()
+	defer mc.mu.Unlock()
+	mc.sweepLocked()
+	for id, me := range mc.edges {
+		if int(id) < n {
+			dst[id] = me.factor(mc.lossCut)
+		}
+	}
+	return dst, mc.version
+}
+
 func (me *measuredEdge) factor(lossCut float64) float64 {
 	if me.loss >= lossCut {
 		return 0

@@ -158,3 +158,35 @@ func TestMeasuredCostsVersionOnObserve(t *testing.T) {
 		t.Fatal("observation did not bump the version")
 	}
 }
+
+// TestMeasuredCostsFactorsMatchRateFactor: the one-lock bulk read returns,
+// per edge, exactly what RateFactor returns — measured, lossy, cut and
+// unmeasured edges alike — plus the current version, and it sweeps expired
+// measurements just like a per-edge read.
+func TestMeasuredCostsFactorsMatchRateFactor(t *testing.T) {
+	g := Line(5, 1000)
+	now := mt0
+	mc := NewMeasuredCosts(g, time.Minute, func() time.Time { return now })
+	mc.Observe(0, 1, 2*time.Millisecond, 0, now)
+	mc.Observe(0, 1, 8*time.Millisecond, 0.1, now)
+	mc.Observe(2, 3, 5*time.Millisecond, 0.6, now) // past the loss cut
+	mc.Observe(3, 4, 5*time.Millisecond, 0, now.Add(-50*time.Second))
+	check := func(label string) {
+		t.Helper()
+		f, ver := mc.Factors(nil, g.NumEdges())
+		if ver != mc.Version() {
+			t.Fatalf("%s: Factors version %d, Version() %d", label, ver, mc.Version())
+		}
+		for i := range f {
+			if want := mc.RateFactor(EdgeID(i)); f[i] != want {
+				t.Fatalf("%s: edge %d factor %v, RateFactor %v", label, i, f[i], want)
+			}
+		}
+	}
+	check("live")
+	now = now.Add(30 * time.Second) // the 3-4 sample is now 80 s old, past its minute
+	check("after expiry")
+	if mc.Measured() != 2 {
+		t.Fatalf("measured edges = %d, want 2 after the 3-4 sample expired", mc.Measured())
+	}
+}

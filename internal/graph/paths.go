@@ -67,21 +67,36 @@ func (p Path) Nodes(g *Graph) []int {
 // EdgeCost maps an edge to a nonnegative traversal cost.
 type EdgeCost func(Edge) float64
 
-// InverseRateCost returns the paper's per-edge response-time weight for a
-// unit of data: 1/Lu_e seconds per megabit, where Lu is obtained from
-// rate. Edges with a nonpositive rate are impassable (+Inf).
-func InverseRateCost(rate func(Edge) float64) EdgeCost {
-	return func(e Edge) float64 {
-		r := rate(e)
-		if r <= 0 {
-			return math.Inf(1)
-		}
-		return 1 / r
+// InverseRate is the paper's per-edge response-time weight for a unit of
+// data over a link of rate r Mbps: 1/r seconds per megabit, +Inf (the
+// edge is impassable) when the rate is nonpositive.
+func InverseRate(r float64) float64 {
+	if r <= 0 {
+		return math.Inf(1)
 	}
+	return 1 / r
+}
+
+// InverseRateCost returns the InverseRate weight of each edge, with Lu
+// obtained from rate.
+func InverseRateCost(rate func(Edge) float64) EdgeCost {
+	return func(e Edge) float64 { return InverseRate(rate(e)) }
 }
 
 // UnitCost weights every edge 1, so path cost equals hop count.
 func UnitCost(Edge) float64 { return 1 }
+
+// CostVector evaluates costFn once per edge of g and returns the costs
+// indexed by EdgeID. A route round fills one vector and shares it across
+// every source's DP, so an edge is priced once per round rather than once
+// per edge, layer and source.
+func CostVector(g *Graph, costFn EdgeCost) []float64 {
+	w := make([]float64, len(g.edges))
+	for i, e := range g.edges {
+		w[i] = costFn(e)
+	}
+	return w
+}
 
 // AllSimplePaths enumerates every simple path from src to dst with at most
 // maxHops edges, in DFS order. maxHops <= 0 means unbounded (bounded only
@@ -209,133 +224,186 @@ func pickBest(g *Graph, paths []Path, costFn EdgeCost) (Path, float64, bool) {
 	return paths[bestIdx], bestCost, true
 }
 
-// DPScratch holds the reusable layer buffers of the hop-bounded DP so
-// that repeated calls — a route-pipeline worker sweeping many sources —
-// stop reallocating O(maxHops·N) memory per call. The zero value is ready
-// to use. A scratch must not be shared between concurrent calls; give each
+// unsetEdge marks a node with no predecessor in a DP layer.
+const unsetEdge = EdgeID(-1)
+
+// DPScratch holds the reusable buffers of the hop-bounded DP so that
+// repeated calls — a route-pipeline worker sweeping many sources — stop
+// reallocating O(maxHops·N) memory per call. The zero value is ready to
+// use. A scratch must not be shared between concurrent calls; give each
 // worker its own.
 type DPScratch struct {
 	cur, next []float64
-	pred      [][]EdgeID
+	// moved marks the nodes whose cost dropped in the layer being built;
+	// active and nextActive list the nodes that moved in the previous and
+	// in the current layer.
+	moved              []bool
+	active, nextActive []int
+	// pred holds the predecessor layers back to back: layer h is
+	// pred[h·n : (h+1)·n].
+	pred []EdgeID
+	// rev collects every path's edges in dst-to-src order, node v's at
+	// rev[start[v]:start[v+1]].
+	rev   []EdgeID
+	start []int
 }
 
-// buffers returns the two cost layers sized for n nodes.
-func (sc *DPScratch) buffers(n int) (cur, next []float64) {
+// buffers sizes the per-node buffers for n nodes.
+func (sc *DPScratch) buffers(n int) {
 	if cap(sc.cur) < n {
 		sc.cur = make([]float64, n)
 		sc.next = make([]float64, n)
+		sc.moved = make([]bool, n)
+		sc.active = make([]int, 0, n)
+		sc.nextActive = make([]int, 0, n)
+		sc.start = make([]int, n+1)
 	}
-	return sc.cur[:n], sc.next[:n]
 }
 
-// layer returns the predecessor layer for hop h sized for n nodes,
-// growing the layer list lazily so early convergence never pays for the
-// full hop bound.
+// layer returns the predecessor layer for hop h sized for n nodes. The
+// store grows geometrically, keeping layers 0..h−1, so early convergence
+// never pays for the full hop bound.
 func (sc *DPScratch) layer(h, n int) []EdgeID {
-	for len(sc.pred) <= h {
-		sc.pred = append(sc.pred, nil)
+	if need := (h + 1) * n; len(sc.pred) < need {
+		grown := make([]EdgeID, 2*need)
+		copy(grown, sc.pred[:h*n])
+		sc.pred = grown
 	}
-	if cap(sc.pred[h]) < n {
-		sc.pred[h] = make([]EdgeID, n)
-	}
-	sc.pred[h] = sc.pred[h][:n]
-	return sc.pred[h]
+	return sc.pred[h*n : (h+1)*n]
 }
 
-// HopBoundedShortest computes, with a Bellman–Ford-style dynamic program,
-// the minimum path cost from src to every node using at most maxHops
-// edges. Costs must be nonnegative (an optimal bounded walk is then a
-// simple path). It returns dist (cost, +Inf if unreachable within the
-// bound) and the realizing path per node. The returned slices are freshly
-// allocated — callers may retain them (route caches do) across further
-// calls on the same scratch.
+// ShortestPaths computes, with a Bellman–Ford-style dynamic program, the
+// minimum path cost from src to every node using at most maxHops edges
+// (maxHops <= 0 or > N means N), under the per-edge cost vector w indexed
+// by EdgeID (see CostVector). Costs must be nonnegative, +Inf marking an
+// impassable edge; an optimal bounded walk is then a simple path. It
+// returns dist (+Inf if unreachable within the bound) and the realizing
+// path per node. The returned slices are freshly allocated — callers may
+// retain them (route caches do) across further calls on the same scratch.
+// All paths of one call share a single edge arena, each path capped at its
+// own length, so a source costs a constant number of allocations.
+//
+// The recurrence is that of relaxing every edge, in ascending EdgeID
+// order with a strict <, on every layer — but layer h relaxes only the
+// edges out of nodes whose cost dropped in layer h−1. A node that did not
+// move was relaxed across the same edge with the same value in an earlier
+// layer, which left the far end at or below that value, so the skipped
+// relaxation could not fire. Among equal candidates for one node the
+// ascending scan keeps the lowest edge ID; relaxing out of the moved nodes
+// in any order keeps the same one by breaking exact ties toward the lower
+// ID. dist and every predecessor are therefore bit-identical to the full
+// scan's.
 //
 // Reconstruction walks per-layer predecessor edges that are copied down
 // layer to layer: pred[h][v] is the edge of v's best ≤h-hop path, so the
-// walk (v,h) → (u,h−1) maintains dist[h][v] = dist[h−1][u] + cost(e)
+// walk (v,h) → (u,h−1) maintains dist[h][v] = dist[h−1][u] + w(e)
 // exactly, and the rebuilt path's cost always telescopes to dist[v] — the
 // summation order matches, so Path.Cost reproduces dist bit for bit.
-func (sc *DPScratch) HopBoundedShortest(g *Graph, src, maxHops int, costFn EdgeCost) ([]float64, []Path) {
+func (sc *DPScratch) ShortestPaths(g *Graph, src, maxHops int, w []float64) ([]float64, []Path) {
 	n := g.NumNodes()
 	if maxHops <= 0 || maxHops > n {
 		maxHops = n
 	}
-	const unset = EdgeID(-1)
-	cur, next := sc.buffers(n)
+	sc.buffers(n)
+	cur, next, moved := sc.cur[:n], sc.next[:n], sc.moved[:n]
 	for v := range cur {
 		cur[v] = math.Inf(1)
+		moved[v] = false
 	}
 	cur[src] = 0
+	active, nextActive := append(sc.active[:0], src), sc.nextActive[:0]
 	pred0 := sc.layer(0, n)
 	for v := range pred0 {
-		pred0[v] = unset
+		pred0[v] = unsetEdge
 	}
 	top := 0
-	for h := 1; h <= maxHops; h++ {
+	for h := 1; h <= maxHops && len(active) > 0; h++ {
 		predH := sc.layer(h, n)
-		copy(predH, sc.pred[h-1][:n])
+		copy(predH, sc.pred[(h-1)*n:h*n])
 		copy(next, cur)
-		improved := false
-		for _, e := range g.edges {
-			c := costFn(e)
-			if math.IsInf(c, 1) {
-				continue
+		nextActive = nextActive[:0]
+		for _, u := range active {
+			du := cur[u]
+			for _, id := range g.adj[u] {
+				e := &g.edges[id]
+				v := e.U
+				if v == u {
+					v = e.V
+				}
+				if d := du + w[id]; d < next[v] || d == next[v] && moved[v] && id < predH[v] {
+					next[v] = d
+					predH[v] = id
+					if !moved[v] {
+						moved[v] = true
+						nextActive = append(nextActive, v)
+					}
+				}
 			}
-			if d := cur[e.U] + c; d < next[e.V] {
-				next[e.V] = d
-				predH[e.V] = e.ID
-				improved = true
-			}
-			if d := cur[e.V] + c; d < next[e.U] {
-				next[e.U] = d
-				predH[e.U] = e.ID
-				improved = true
-			}
+		}
+		for _, v := range nextActive {
+			moved[v] = false
 		}
 		cur, next = next, cur
+		active, nextActive = nextActive, active
 		top = h
-		if !improved {
-			break
-		}
 	}
+	sc.active, sc.nextActive = active, nextActive
 	dist := make([]float64, n)
 	copy(dist, cur)
-	paths := make([]Path, n)
-	for v := 0; v < n; v++ {
-		if math.IsInf(dist[v], 1) || v == src {
-			paths[v] = Path{Src: src, Dst: v}
+
+	// One walk per node collects its edges in reverse; the arena then
+	// receives them in order at the same offsets.
+	rev, start := sc.rev[:0], sc.start[:n+1]
+	for v := range dist {
+		start[v] = len(rev)
+		if v == src || math.IsInf(dist[v], 1) {
 			continue
 		}
-		rev := make([]EdgeID, 0, top)
-		node, h := v, top
-		for node != src {
-			id := sc.pred[h][node]
-			if id == unset {
+		for node, h := v, top; node != src; h-- {
+			id := sc.pred[h*n+node]
+			if id == unsetEdge {
 				// A finite dist guarantees a predecessor chain reaching src
 				// within top hops; an unset edge here means the DP's own
 				// invariants are broken, never a representable route state.
 				panic(fmt.Sprintf("graph: hop-bounded reconstruction invariant broken at node %d (src %d, hop %d)", node, src, h))
 			}
 			rev = append(rev, id)
-			node = g.Edge(id).Other(node)
-			h--
+			if e := &g.edges[id]; e.U == node {
+				node = e.V
+			} else {
+				node = e.U
+			}
 		}
-		for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-			rev[i], rev[j] = rev[j], rev[i]
+	}
+	start[n] = len(rev)
+	sc.rev = rev
+	arena := make([]EdgeID, len(rev))
+	paths := make([]Path, n)
+	for v := range paths {
+		paths[v] = Path{Src: src, Dst: v}
+		a, b := start[v], start[v+1]
+		if a == b {
+			continue
 		}
-		paths[v] = Path{Src: src, Dst: v, Edges: rev}
+		edges := arena[a:b:b]
+		for i, id := range rev[a:b] {
+			edges[len(edges)-1-i] = id
+		}
+		paths[v].Edges = edges
 	}
 	return dist, paths
 }
 
-// HopBoundedShortest is the scratch-free convenience wrapper; hot loops
-// should hold a DPScratch and call its method instead.
+// HopBoundedShortest is the one-off entry point: it prices every edge
+// with costFn once (CostVector) and runs DPScratch.ShortestPaths on a
+// fresh scratch. Route rounds build one cost vector and keep a scratch per
+// worker instead.
 //
 // This is the polynomial-time alternative to exhaustive enumeration; the
 // ablation bench BenchmarkAblationPathStrategies compares the two.
 func HopBoundedShortest(g *Graph, src, maxHops int, costFn EdgeCost) ([]float64, []Path) {
 	var sc DPScratch
-	return sc.HopBoundedShortest(g, src, maxHops, costFn)
+	return sc.ShortestPaths(g, src, maxHops, CostVector(g, costFn))
 }
 
 // EdgeFrontier marks, per edge ID, whether the edge can appear on any path

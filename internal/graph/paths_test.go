@@ -122,9 +122,10 @@ func TestHopBoundedPathCostMatchesDistExactly(t *testing.T) {
 		g := RandomConnected(n, 0.3, 1000, rng)
 		RandomizeUtilization(g, 0.05, 0.95, rng)
 		cost := InverseRateCost(func(e Edge) float64 { return e.UtilizedMbps() })
+		w := CostVector(g, cost)
 		for _, maxHops := range []int{1, 2, 3, n} {
 			var sc DPScratch
-			dist, paths := sc.HopBoundedShortest(g, 0, maxHops, cost)
+			dist, paths := sc.ShortestPaths(g, 0, maxHops, w)
 			for v := 0; v < n; v++ {
 				if math.IsInf(dist[v], 1) {
 					if len(paths[v].Edges) != 0 {
@@ -154,12 +155,12 @@ func TestDPScratchReuseMatchesFresh(t *testing.T) {
 		n := 3 + rng.Intn(25)
 		g := RandomConnected(n, 0.4, 1000, rng)
 		RandomizeUtilization(g, 0.1, 0.9, rng)
-		cost := InverseRateCost(func(e Edge) float64 { return e.UtilizedMbps() })
+		w := CostVector(g, utilizedCost)
 		for src := 0; src < n; src += 1 + rng.Intn(3) {
 			maxHops := 1 + rng.Intn(n)
-			gotDist, gotPaths := shared.HopBoundedShortest(g, src, maxHops, cost)
+			gotDist, gotPaths := shared.ShortestPaths(g, src, maxHops, w)
 			var fresh DPScratch
-			wantDist, wantPaths := fresh.HopBoundedShortest(g, src, maxHops, cost)
+			wantDist, wantPaths := fresh.ShortestPaths(g, src, maxHops, w)
 			for v := 0; v < n; v++ {
 				if gotDist[v] != wantDist[v] && !(math.IsInf(gotDist[v], 1) && math.IsInf(wantDist[v], 1)) {
 					t.Fatalf("src %d node %d: reused scratch dist %v, fresh %v", src, v, gotDist[v], wantDist[v])

@@ -86,7 +86,7 @@ func CheckResult(s *core.State, res *core.Result, solver core.SolverKind) error 
 			return fmt.Errorf("verify: assignment %d (%d→%d) response time %g != route table %g",
 				k, a.Busy, a.Candidate, a.ResponseTimeSec, want)
 		}
-		if want > 0 || len(rt.Routes[bi][cj].Edges) > 0 {
+		if want > 0 || len(rt.Route(bi, cj).Edges) > 0 {
 			r := a.Route
 			if r.Src != a.Busy || r.Dst != a.Candidate {
 				return fmt.Errorf("verify: assignment %d route runs %d→%d, want %d→%d",
