@@ -68,6 +68,8 @@ func main() {
 	// latest snapshot to the STAT path.
 	var mu sync.Mutex
 	var snap switchos.Snapshot
+	// hosted marks the origins whose agents this switch runs (guarded by mu).
+	hosted := make(map[int]bool)
 	go func() {
 		tick := time.NewTicker(time.Second)
 		defer tick.Stop()
@@ -167,16 +169,27 @@ func main() {
 		},
 		OnHost: func(busy int, amount float64, route []int32) bool {
 			log.Printf("hosting %.1f%% of node %d's monitoring (route %v)", amount, busy, route)
+			// The amount is the pair's absolute total: a request for an
+			// origin already hosted is a resize, and its agents stay.
+			mu.Lock()
+			defer mu.Unlock()
+			if hosted[busy] {
+				return true
+			}
 			for _, spec := range switchos.StandardAgents() {
 				if err := sw.HostRemote(spec, "node-"+strconv.Itoa(busy), func() float64 { return *kpps }); err != nil {
 					log.Printf("host: %v", err)
 					return false
 				}
 			}
+			hosted[busy] = true
 			return true
 		},
 		OnRelease: func(busy int) {
 			log.Printf("releasing node %d's hosted monitoring", busy)
+			mu.Lock()
+			delete(hosted, busy)
+			mu.Unlock()
 			for _, spec := range switchos.StandardAgents() {
 				_ = sw.EvictRemote("node-"+strconv.Itoa(busy), spec.Name)
 			}

@@ -219,15 +219,21 @@ func main() {
 			}
 			if report.Result == nil {
 				log.Printf("placement: no busy nodes")
-				continue
+			} else {
+				log.Printf("placement: status=%v β=%.3f in-force=%d kept=%d released=%d declined=%d timed-out=%d retried=%d unplaced=%d abandoned=%d",
+					report.Result.Status, report.Result.Objective,
+					len(report.Accepted), report.Kept, len(report.Released),
+					len(report.Declined), len(report.TimedOut),
+					len(report.Retried), len(report.Unplaced), report.Abandoned())
+				for _, a := range report.Accepted {
+					log.Printf("  offload %.1f%% of node %d → node %d (Trmin %.3fs)",
+						a.Amount, a.Busy, a.Candidate, a.ResponseTimeSec)
+				}
 			}
-			log.Printf("placement: status=%v β=%.3f accepted=%d declined=%d timed-out=%d retried=%d unplaced=%d abandoned=%d",
-				report.Result.Status, report.Result.Objective,
-				len(report.Accepted), len(report.Declined), len(report.TimedOut),
-				len(report.Retried), len(report.Unplaced), report.Abandoned())
-			for _, a := range report.Accepted {
-				log.Printf("  offload %.1f%% of node %d → node %d (Trmin %.3fs)",
-					a.Amount, a.Busy, a.Candidate, a.ResponseTimeSec)
+			// Origins whose STAT dropped below CMax are released by the
+			// placement round itself (report.Released).
+			for _, a := range report.Released {
+				log.Printf("  released %.1f%% of node %d from node %d", a.Amount, a.Busy, a.Candidate)
 			}
 			subs, err := mgr.CheckKeepalives()
 			if err != nil {
@@ -238,31 +244,10 @@ func main() {
 				log.Printf("  substituted failed destination %d with %d for busy %d (%.1f%%)",
 					s.Failed, s.Replica, s.Busy, s.Amount)
 			}
-			// Reclaim origins whose STAT dropped back below CMax.
-			for _, b := range activeBusyNodes(mgr) {
-				if rec, ok := mgr.NMDB().Client(b); ok && rec.UtilPct < th.CMax {
-					released := mgr.ReclaimBusy(b)
-					if len(released) > 0 {
-						log.Printf("  reclaimed %d assignment(s) for recovered node %d", len(released), b)
-					}
-				}
-			}
 		}
 	}()
 
 	if err := mgr.Serve(l); err != nil {
 		log.Printf("dustmanager: serve: %v", err)
 	}
-}
-
-func activeBusyNodes(mgr *cluster.Manager) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, a := range mgr.NMDB().ActiveAssignments() {
-		if !seen[a.Busy] {
-			seen[a.Busy] = true
-			out = append(out, a.Busy)
-		}
-	}
-	return out
 }

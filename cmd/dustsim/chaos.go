@@ -97,9 +97,8 @@ func runChaos(n int, drop, dup float64, seed int64, metricsAddr string, verifyPl
 		}
 	}
 
-	// Closed-loop busy node: its reported utilization is the base minus
-	// whatever the ledger currently parks elsewhere, settling to a neutral
-	// level once the excess is fully covered.
+	// STATs report demand: the busy node keeps reporting its base load,
+	// and every placement round re-affirms the same absolute plan.
 	ledgerSum := func() float64 {
 		sum := 0.0
 		for _, a := range mgr.NMDB().ActiveAssignments() {
@@ -112,11 +111,7 @@ func runChaos(n int, drop, dup float64, seed int64, metricsAddr string, verifyPl
 	resourcesFor := func(node int) func() cluster.Resources {
 		if node == busyNode {
 			return func() cluster.Resources {
-				util := baseUtil - ledgerSum()
-				if ledgerSum() >= excess-1e-6 {
-					util = 65
-				}
-				return cluster.Resources{UtilPct: util, DataMb: 30, NumAgents: 8}
+				return cluster.Resources{UtilPct: baseUtil, DataMb: 30, NumAgents: 8}
 			}
 		}
 		return func() cluster.Resources {

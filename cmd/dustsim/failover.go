@@ -88,9 +88,8 @@ func runFailover(n int, seed int64, promoteAfter time.Duration, metricsAddr stri
 	}
 	defer standby.Close()
 
-	// current points at the authoritative manager; the closed-loop busy
-	// node reads its ledger so reported utilization follows whoever owns
-	// the assignments after failover.
+	// current points at the authoritative manager, whose ledger the
+	// convergence checks read.
 	var current atomic.Pointer[cluster.Manager]
 	current.Store(primary)
 
@@ -132,14 +131,12 @@ func runFailover(n int, seed int64, promoteAfter time.Duration, metricsAddr stri
 		}
 		return sum
 	}
+	// STATs report demand: the busy node keeps reporting its base load
+	// across the failover, and each manager's rounds re-affirm the plan.
 	resourcesFor := func(node int) func() cluster.Resources {
 		if node == busyNode {
 			return func() cluster.Resources {
-				util := baseUtil - ledgerSum()
-				if ledgerSum() >= excess-1e-6 {
-					util = 65
-				}
-				return cluster.Resources{UtilPct: util, DataMb: 30, NumAgents: 8}
+				return cluster.Resources{UtilPct: baseUtil, DataMb: 30, NumAgents: 8}
 			}
 		}
 		return func() cluster.Resources {

@@ -133,7 +133,7 @@ func main() {
 			names[s.Failed], names[s.Busy], names[s.Replica], s.Amount, s.Notified)
 	}
 
-	// Busy node recovers; manager reclaims.
+	// Busy node recovers; the next placement round releases its offload.
 	var mu sync.Mutex
 	mu.Lock()
 	utils[0] = 60
@@ -145,8 +145,11 @@ func main() {
 		rec, _ := mgr.NMDB().Client(0)
 		return rec.UtilPct == 60
 	})
-	released := mgr.ReclaimBusy(0)
-	fmt.Printf("\nS1 recovered; manager reclaimed %d assignment(s)\n", len(released))
+	report, err = mgr.RunPlacement()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nS1 recovered; the next placement round released %d assignment(s)\n", len(report.Released))
 	time.Sleep(100 * time.Millisecond) // let release messages drain
 }
 

@@ -69,10 +69,10 @@ func TestChaosConvergence(t *testing.T) {
 		}
 	}
 
-	// The busy node models the offload closed-loop: its reported
-	// utilization is the base minus whatever the ledger currently parks
-	// elsewhere, dropping to neutral once the excess is fully covered. The
-	// candidates report a static comfortable level.
+	// STATs report demand: the busy node keeps reporting its base load
+	// however much of it the ledger parks elsewhere, and every placement
+	// round re-affirms the same absolute plan. The candidates report a
+	// static comfortable level.
 	ledgerSum := func(busy int) float64 {
 		sum := 0.0
 		for _, a := range mgr.NMDB().ActiveAssignments() {
@@ -85,12 +85,7 @@ func TestChaosConvergence(t *testing.T) {
 	resourcesFor := func(node int) func() Resources {
 		if node == busyNode {
 			return func() Resources {
-				placed := ledgerSum(busyNode)
-				util := baseUtil - placed
-				if placed >= excess-1e-6 {
-					util = 65
-				}
-				return Resources{UtilPct: util, DataMb: 30, NumAgents: 8}
+				return Resources{UtilPct: baseUtil, DataMb: 30, NumAgents: 8}
 			}
 		}
 		return func() Resources {
@@ -176,7 +171,9 @@ func TestChaosConvergence(t *testing.T) {
 		return out
 	}
 	converged := func() bool {
-		if ledgerSum(busyNode) < excess-1e-6 {
+		// Absolute offers cannot double-book: the ledger converges to the
+		// excess exactly, not to at least the excess.
+		if math.Abs(ledgerSum(busyNode)-excess) > 1e-6 {
 			return false
 		}
 		pairs := ledgerPairs()

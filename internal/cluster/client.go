@@ -33,14 +33,20 @@ type ClientConfig struct {
 	Resources func() Resources
 	// OnHost is invoked when the manager asks this node to host amountPct
 	// of busy's workload; returning false declines (Offload-ACK verdict).
-	// Nil accepts everything.
+	// amountPct is the pair's absolute total, not an increment: a request
+	// for a busy node this client already hosts resizes that hosting, so
+	// OnHost must treat it as an update, not as a second install. A
+	// declined resize leaves the current hosting in force. Nil accepts
+	// everything.
 	OnHost func(busy int, amountPct float64, route []int32) bool
 	// OnRelease is invoked when the manager withdraws busy's hosted
 	// workload (reclaim, or this node being substituted).
 	OnRelease func(busy int)
 	// OnRedirect is invoked on the busy node when the manager confirms a
-	// destination: start redirecting amountPct of monitoring toward the
-	// route's last node.
+	// destination: redirect amountPct of monitoring toward the route's last
+	// node. The amount is that destination's absolute share; each placement
+	// round sends one redirect per destination in force, and a later
+	// redirect to the same destination supersedes an earlier one.
 	OnRedirect func(amountPct float64, route []int32)
 	// OnReplica is invoked when this node substitutes a failed destination
 	// (REP message).
@@ -118,8 +124,10 @@ type ClientConfig struct {
 	Metrics *obs.Registry
 }
 
-// seenWindow bounds the duplicate-suppression memory: faulty links can
-// replay a manager message, and hosting arithmetic (+=) is not idempotent.
+// seenWindow bounds the duplicate-suppression memory. Hosting updates are
+// absolute, so a replayed request alone cannot double-book, but a replay
+// that arrives after a newer request or a release would put stale hosting
+// back in force.
 const seenWindow = 4096
 
 // dupFilter remembers the last seenWindow accepted sequence numbers in a
@@ -424,14 +432,15 @@ func (c *Client) dispatch(msg *proto.Message) {
 				c.cfg.OnRelease(busy)
 			}
 		default:
-			// Hosting request: apply policy and answer with Offload-ACK.
+			// Hosting request: apply policy and answer with Offload-ACK. The
+			// amount is the pair's absolute total.
 			accept := true
 			if c.cfg.OnHost != nil {
 				accept = c.cfg.OnHost(busy, msg.AmountPct, msg.RouteNodes)
 			}
 			if accept {
 				c.mu.Lock()
-				c.hosting[busy] += msg.AmountPct
+				c.hosting[busy] = msg.AmountPct
 				c.mu.Unlock()
 			}
 			_ = c.current().Send(&proto.Message{
@@ -440,8 +449,10 @@ func (c *Client) dispatch(msg *proto.Message) {
 			})
 		}
 	case proto.MsgRep:
+		// The REP carries the pair's new total (what this node already
+		// hosted for busy plus the displaced share).
 		c.mu.Lock()
-		c.hosting[int(msg.BusyNode)] += msg.AmountPct
+		c.hosting[int(msg.BusyNode)] = msg.AmountPct
 		c.mu.Unlock()
 		if c.cfg.OnReplica != nil {
 			c.cfg.OnReplica(int(msg.BusyNode), int(msg.FailedNode), msg.AmountPct)

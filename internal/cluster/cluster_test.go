@@ -342,7 +342,8 @@ func TestKeepaliveSubstitution(t *testing.T) {
 		rec, _ := h.manager.NMDB().Client(1)
 		return !rec.LastKeepalive.IsZero()
 	})
-	// After the offload, the busy node's STAT reflects the relieved level.
+	// The origin's demand eases to exactly CMax: it still classifies busy
+	// (Cs = 0), so replica selection prices routes from it.
 	h.setUtil(0, 80, 50)
 	h.clock.Advance(120 * time.Second)
 

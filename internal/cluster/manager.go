@@ -952,10 +952,11 @@ func (m *Manager) handle(node int, msg *proto.Message) {
 		if !ok {
 			return
 		}
+		// The busy node's redirect waits for the end of the round, which
+		// knows the pair's final amount (a retry may still grow it).
 		if msg.Accept {
 			m.nmdb.RecordOffload([]core.Assignment{p.assignment})
 			m.touchPair(p.assignment.Busy, p.assignment.Candidate, now)
-			m.sendRedirect(p.assignment)
 		}
 		p.done <- msg.Accept
 	case proto.MsgProbe, proto.MsgProbeReply:
@@ -1043,8 +1044,8 @@ func (m *Manager) handle(node int, msg *proto.Message) {
 	}
 }
 
-// sendRedirect tells the busy node to start redirecting its monitoring
-// data toward the acknowledged destination.
+// sendRedirect tells the busy node to redirect a.Amount of its monitoring
+// data toward a's destination (an absolute share for that destination).
 func (m *Manager) sendRedirect(a core.Assignment) {
 	conn, ok := m.connFor(a.Busy)
 	if !ok {
@@ -1073,11 +1074,23 @@ func (m *Manager) wireRoute(a core.Assignment) []int32 {
 type PlacementReport struct {
 	// Result is the optimization output (nil when no busy nodes existed).
 	Result *core.Result
-	// Accepted and Declined partition the offered assignments by
-	// Offload-ACK verdict; TimedOut lists destinations that never
-	// answered. With PlacementRetries > 0, Declined and TimedOut hold
+	// Accepted lists every pair hosting at the end of the round, one entry
+	// per busy→dest pair with its absolute amount, sorted by busy node and
+	// then destination. It covers the pairs whose Offload-ACK accepted this
+	// round, the pairs kept from the ledger without an offer, and resizes
+	// the destination declined (the old amount stays in force). Each entry
+	// got one redirect to its busy node. Declined and TimedOut list the
+	// offers that failed by verdict; with PlacementRetries > 0 they hold
 	// only the final attempt's failures.
 	Accepted, Declined, TimedOut []core.Assignment
+	// Kept counts the Accepted pairs whose ledger entry already matched
+	// the plan exactly (same amount, same route edges): they cost the
+	// round a redirect and no Offload-Request.
+	Kept int
+	// Released lists the ledger pairs the round withdrew: pairs the plan
+	// no longer contains, pairs of origins that stopped classifying busy,
+	// and offers that timed out. Each destination was sent a release.
+	Released []core.Assignment
 	// Retried lists assignments that failed an attempt and whose busy
 	// node's excess was re-offered to the remaining candidates (their
 	// replacements, when accepted, appear in Accepted).
@@ -1122,12 +1135,27 @@ func (m *Manager) foldVersionDeltas(delta *core.PlanDelta) {
 
 // RunPlacement executes one round of the DUST Monitoring Placement
 // Workflow: snapshot the NMDB, classify roles (honoring per-client
-// thresholds), run the optimization engine, send Offload-Requests to the
-// chosen destinations, and wait for their Offload-ACKs. Accepted
-// assignments are recorded in the ledger and the busy nodes told to
-// redirect. Failed offers (declined, timed out, or cut by a disconnect)
-// are re-offered to next-best candidates up to PlacementRetries times,
-// re-solving the restricted problem with the failed destinations excluded.
+// thresholds), run the optimization engine, and converge the offload
+// ledger to the round's plan.
+//
+// A STAT reports a node's own demand: the load it would carry with nothing
+// redirected away and nothing hosted for others. The plan is therefore the
+// complete, absolute set of pairs the round wants in force, and every
+// Offload-Request carries its pair's absolute amount. The round diffs the
+// plan against the ledger: a pair the ledger already holds with the same
+// amount and route edges is kept without an offer; a new or resized pair
+// is offered and waits for its Offload-ACK; ledger pairs the plan no
+// longer contains — including every pair of an origin that stopped
+// classifying busy — are released at the end of the round. The round then
+// sends one redirect per pair in force to its busy node. Failed offers
+// (declined, timed out, or cut by a disconnect) are re-offered to
+// next-best candidates up to PlacementRetries times, re-solving the
+// restricted problem with the failed destinations excluded.
+//
+// A round without an optimal plan leaves the ledger as it is. While the
+// manager is degraded, every planned pair is offered and nothing is
+// released; the offloads of an origin silent past StalenessHorizon are
+// held rather than released.
 func (m *Manager) RunPlacement() (report *PlacementReport, err error) {
 	if m.IsFollower() {
 		return nil, ErrFollower
@@ -1155,7 +1183,9 @@ func (m *Manager) RunPlacement() (report *PlacementReport, err error) {
 		m.nmdb.SetRole(i, role)
 	}
 	report = &PlacementReport{}
+	rl := m.startRound()
 	if len(cls.Busy) == 0 {
+		m.finishRound(report, rl, cls)
 		return report, nil
 	}
 	// The planner reuses route computations across rounds while the
@@ -1186,38 +1216,216 @@ func (m *Manager) RunPlacement() (report *PlacementReport, err error) {
 	defer func() {
 		m.metrics.observePhase("dispatch", time.Since(dispatchStart))
 	}()
-	offers := res.Assignments
+	var offers []core.Assignment
+	for _, a := range res.Assignments {
+		key := pendingKey{busy: a.Busy, dest: a.Candidate}
+		if old, ok := rl.start[key]; ok && !rl.degraded && samePair(old, a) {
+			rl.final[key] = a
+			report.Kept++
+			continue
+		}
+		offers = append(offers, a)
+	}
+	// acceptedAt is what this round parks on each candidate; retries
+	// shrink the candidates' spare capacity by it.
 	excluded := make(map[int]bool)
 	acceptedAt := make(map[int]float64)
-	for attempt := 0; ; attempt++ {
+	for _, a := range rl.final {
+		acceptedAt[a.Candidate] += a.Amount
+	}
+	for attempt := 0; len(offers) > 0; attempt++ {
+		m.countOffers(rl, offers)
 		accepted, declined, timedOut := m.offerAssignments(offers)
-		report.Accepted = append(report.Accepted, accepted...)
+		m.metrics.offers["accepted"].Add(uint64(len(accepted)))
 		for _, a := range accepted {
-			acceptedAt[a.Candidate] += a.Amount
+			key := pendingKey{busy: a.Busy, dest: a.Candidate}
+			acceptedAt[a.Candidate] += a.Amount - rl.final[key].Amount
+			rl.final[key] = a
 		}
-		failed := append(append([]core.Assignment(nil), declined...), timedOut...)
+		// A declined offer changed nothing at its destination: whatever the
+		// pair had in force stays, and only the shortfall is re-offered. On
+		// the first attempt that includes a declined resize of a ledger pair.
+		var failed []core.Assignment
+		for _, a := range declined {
+			key := pendingKey{busy: a.Busy, dest: a.Candidate}
+			cur, inForce := rl.final[key]
+			if old, ok := rl.start[key]; !inForce && ok && attempt == 0 {
+				cur, inForce = old, true
+				rl.final[key] = old
+				acceptedAt[a.Candidate] += old.Amount
+			}
+			if inForce {
+				a.Amount -= cur.Amount
+			}
+			if a.Amount > 1e-9 {
+				failed = append(failed, a)
+			}
+		}
+		nDeclined := len(failed)
+		// A timed-out offer may have been applied: the pair leaves the
+		// round and is released at its end, and its whole amount is
+		// re-offered.
+		for _, a := range timedOut {
+			key := pendingKey{busy: a.Busy, dest: a.Candidate}
+			if cur, ok := rl.final[key]; ok {
+				acceptedAt[a.Candidate] -= cur.Amount
+				delete(rl.final, key)
+			}
+			rl.timedOut[key] = true
+			failed = append(failed, a)
+		}
 		if len(failed) == 0 {
-			return report, nil
+			break
 		}
 		if attempt >= m.cfg.PlacementRetries {
-			report.Declined = append(report.Declined, declined...)
-			report.TimedOut = append(report.TimedOut, timedOut...)
-			return report, nil
+			report.Declined = append(report.Declined, failed[:nDeclined]...)
+			report.TimedOut = append(report.TimedOut, failed[nDeclined:]...)
+			break
 		}
 		for _, f := range failed {
 			excluded[f.Candidate] = true
 		}
 		next, unplaced, err := m.resolveRetry(state, cls, failed, excluded, acceptedAt)
 		if err != nil {
+			m.finishRound(report, rl, cls)
 			return report, err
 		}
 		report.Retried = append(report.Retried, failed...)
 		report.Unplaced = append(report.Unplaced, unplaced...)
-		if len(next) == 0 {
-			return report, nil
+		// A retry onto a pair already in force this round offers the
+		// pair's summed total.
+		for i, a := range next {
+			next[i].Amount += rl.final[pendingKey{busy: a.Busy, dest: a.Candidate}].Amount
 		}
 		offers = next
 	}
+	m.finishRound(report, rl, cls)
+	return report, nil
+}
+
+// roundLedger is one placement round's view of the offload ledger.
+type roundLedger struct {
+	// start is the ledger as the round found it; final holds the pairs
+	// the round leaves in force.
+	start, final map[pendingKey]core.Assignment
+	// timedOut marks pairs whose offer timed out: the destination may
+	// have applied it, so unless the pair ends in force it is released.
+	timedOut map[pendingKey]bool
+	// degraded suspends keeping and releasing for the round.
+	degraded bool
+}
+
+func (m *Manager) startRound() *roundLedger {
+	rl := &roundLedger{
+		start:    make(map[pendingKey]core.Assignment),
+		final:    make(map[pendingKey]core.Assignment),
+		timedOut: make(map[pendingKey]bool),
+		degraded: m.degradedNow(m.cfg.Now()),
+	}
+	for _, a := range m.nmdb.ActiveAssignments() {
+		rl.start[pendingKey{busy: a.Busy, dest: a.Candidate}] = a
+	}
+	return rl
+}
+
+// samePair reports whether a ledger entry already is the planned pair:
+// same amount and same route edges, compared exactly.
+func samePair(old, a core.Assignment) bool {
+	if old.Amount != a.Amount || len(old.Route.Edges) != len(a.Route.Edges) {
+		return false
+	}
+	for i, e := range old.Route.Edges {
+		if a.Route.Edges[i] != e {
+			return false
+		}
+	}
+	return true
+}
+
+// countOffers books each offer as a new pair or a resize of one the round
+// found in the ledger or already holds in force.
+func (m *Manager) countOffers(rl *roundLedger, offers []core.Assignment) {
+	for _, a := range offers {
+		key := pendingKey{busy: a.Busy, dest: a.Candidate}
+		_, inLedger := rl.start[key]
+		_, inForce := rl.final[key]
+		if inLedger || inForce {
+			m.metrics.pairs["resized"].Inc()
+		} else {
+			m.metrics.pairs["new"].Inc()
+		}
+	}
+}
+
+// finishRound ends a round: every pair in force goes into report.Accepted
+// and gets its redirect, and the round-start ledger pairs that are no
+// longer in force — plus timed-out offers — are released. Degraded rounds
+// release nothing, and the pairs of origins silent past the staleness
+// horizon are held.
+func (m *Manager) finishRound(report *PlacementReport, rl *roundLedger, cls *core.Classification) {
+	report.Accepted = make([]core.Assignment, 0, len(rl.final))
+	for _, a := range rl.final {
+		report.Accepted = append(report.Accepted, a)
+	}
+	sortPairs(report.Accepted)
+	for _, a := range report.Accepted {
+		m.sendRedirect(a)
+	}
+
+	var drop []core.Assignment
+	now := m.cfg.Now()
+	for key, old := range rl.start {
+		if _, ok := rl.final[key]; ok {
+			continue
+		}
+		busy := key.busy >= 0 && key.busy < len(cls.Roles) && cls.Roles[key.busy] == core.RoleBusy
+		if !busy && m.silent(key.busy, now) {
+			continue
+		}
+		drop = append(drop, old)
+	}
+	for key := range rl.timedOut {
+		_, inForce := rl.final[key]
+		_, inLedger := rl.start[key]
+		if !inForce && !inLedger {
+			drop = append(drop, core.Assignment{Busy: key.busy, Candidate: key.dest})
+		}
+	}
+	if len(drop) == 0 {
+		return
+	}
+	if rl.degraded {
+		m.metrics.degradedDeferrals.Inc()
+		return
+	}
+	sortPairs(drop)
+	for _, a := range drop {
+		if cur, ok := m.nmdb.ReleasePair(a.Busy, a.Candidate); ok {
+			a = cur
+		}
+		report.Released = append(report.Released, a)
+	}
+	m.notifyReleased(report.Released)
+}
+
+func sortPairs(as []core.Assignment) {
+	sort.Slice(as, func(i, j int) bool {
+		if as[i].Busy != as[j].Busy {
+			return as[i].Busy < as[j].Busy
+		}
+		return as[i].Candidate < as[j].Candidate
+	})
+}
+
+// silent reports whether node's last report of any kind is past the
+// staleness horizon. Classification holds such a node neutral, and a round
+// does not release its offloads on data it does not have.
+func (m *Manager) silent(node int, now time.Time) bool {
+	if m.cfg.StalenessHorizon <= 0 {
+		return false
+	}
+	_, _, lastReport, _ := m.nmdb.classifyMeta(node, m.cfg.Defaults)
+	return now.Sub(lastReport) > m.cfg.StalenessHorizon
 }
 
 // offerAssignments sends Offload-Requests for the assignments and collects
@@ -1560,9 +1768,14 @@ func (m *Manager) substituteDest(dest int) []Substitution {
 		replica, rt, found := m.pickReplica(state, a, dest)
 		sub := Substitution{Failed: dest, Busy: a.Busy, Amount: a.Amount, Replica: replica}
 		if found {
+			// Amounts are absolute per pair: a replica that already hosts
+			// for this origin takes the displaced share on top of it.
 			na := core.Assignment{
 				Busy: a.Busy, Candidate: replica,
 				Amount: a.Amount, ResponseTimeSec: rt,
+			}
+			if cur, ok := m.nmdb.Pair(a.Busy, replica); ok {
+				na.Amount += cur.Amount
 			}
 			m.nmdb.RecordOffload([]core.Assignment{na})
 			m.touchPair(a.Busy, replica, now)
@@ -1571,14 +1784,12 @@ func (m *Manager) substituteDest(dest int) []Substitution {
 					Type: proto.MsgRep, From: ManagerNode,
 					To: int32(replica), Seq: m.nextSeq(),
 					BusyNode:   int32(a.Busy),
-					AmountPct:  a.Amount,
+					AmountPct:  na.Amount,
 					FailedNode: int32(dest),
 				})
 				sub.Notified = err == nil
 			}
-			m.sendRedirect(core.Assignment{
-				Busy: a.Busy, Candidate: replica, Amount: a.Amount,
-			})
+			m.sendRedirect(na)
 		} else {
 			sub.Replica = -1
 		}
@@ -1595,10 +1806,8 @@ func (m *Manager) pickReplica(state *core.State, a core.Assignment, failed int) 
 	if err != nil {
 		return -1, 0, false
 	}
-	// Subtract already-recorded hosting from candidate spare capacity.
-	// STATs may already reflect hosted load, in which case this double
-	// counts and the selection is conservative — a replica is never
-	// overcommitted, at the cost of occasionally rejecting a workable one.
+	// Subtract already-recorded hosting from candidate spare capacity: a
+	// STAT reports the node's own demand, not what it hosts for others.
 	spare := make(map[int]float64)
 	for j, cand := range cls.Candidates {
 		spare[cand] = cls.Cd[j]
@@ -1624,8 +1833,8 @@ func (m *Manager) pickReplica(state *core.State, a core.Assignment, failed int) 
 		}
 	}
 	if bi < 0 {
-		// The origin may no longer classify busy (its STAT already shows
-		// the offloaded level); fall back to a direct route scan.
+		// The origin may no longer classify busy (its demand fell since
+		// the round that placed it); fall back to a direct route scan.
 		return m.pickReplicaDirect(state, a, failed, spare)
 	}
 	best, bestSec := -1, math.Inf(1)
@@ -1664,10 +1873,11 @@ func (m *Manager) pickReplicaDirect(state *core.State, a core.Assignment, failed
 	return best, bestSec, true
 }
 
-// ReclaimBusy releases every assignment originating at busy (its local
-// resources freed up, per the STAT-driven reclaim of Section III-B),
-// telling each destination to drop the hosted workload (an
-// Offload-Request with AmountPct 0 is the release instruction).
+// ReclaimBusy releases every assignment originating at busy at once,
+// telling each destination to drop the hosted workload. Placement rounds
+// already release the pairs of an origin that stopped classifying busy;
+// ReclaimBusy is for an embedder that must withdraw an origin's offloads
+// between rounds.
 func (m *Manager) ReclaimBusy(busy int) []core.Assignment {
 	if m.degradedNow(m.cfg.Now()) {
 		m.metrics.degradedDeferrals.Inc()
@@ -1675,6 +1885,14 @@ func (m *Manager) ReclaimBusy(busy int) []core.Assignment {
 	}
 	released := m.nmdb.ReleaseBusy(busy)
 	m.metrics.reclaims.Add(uint64(len(released)))
+	m.notifyReleased(released)
+	return released
+}
+
+// notifyReleased forgets the released pairs' sync stamps and tells each
+// destination to drop the hosted workload (an Offload-Request with
+// AmountPct 0 is the release instruction).
+func (m *Manager) notifyReleased(released []core.Assignment) {
 	m.mu.Lock()
 	for _, a := range released {
 		delete(m.pairSync, pendingKey{busy: a.Busy, dest: a.Candidate})
@@ -1689,5 +1907,4 @@ func (m *Manager) ReclaimBusy(busy int) []core.Assignment {
 			})
 		}
 	}
-	return released
 }

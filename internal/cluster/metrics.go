@@ -24,6 +24,7 @@ type managerMetrics struct {
 	phaseSeconds map[string]*obs.Histogram // classify, route, solve, dispatch
 
 	offers        map[string]*obs.Counter // verdict: accepted, declined, timed_out
+	pairs         map[string]*obs.Counter // change: new, resized, kept, released
 	verifications map[string]*obs.Counter // result: ok, failed (VerifyPlacements audits)
 	retried       *obs.Counter
 	unplaced      *obs.Counter
@@ -87,6 +88,7 @@ func newManagerMetrics(reg *obs.Registry) *managerMetrics {
 			"end-to-end placement round duration", nil),
 		phaseSeconds:  make(map[string]*obs.Histogram),
 		offers:        make(map[string]*obs.Counter),
+		pairs:         make(map[string]*obs.Counter),
 		verifications: make(map[string]*obs.Counter),
 		retried: reg.Counter("dust_manager_placement_retries_total",
 			"failed offers re-offered to next-best candidates"),
@@ -153,6 +155,10 @@ func newManagerMetrics(reg *obs.Registry) *managerMetrics {
 	for _, verdict := range []string{"accepted", "declined", "timed_out"} {
 		mm.offers[verdict] = reg.Counter("dust_manager_offers_total",
 			"offered assignments by final Offload-ACK verdict", "verdict", verdict)
+	}
+	for _, change := range []string{"new", "resized", "kept", "released"} {
+		mm.pairs[change] = reg.Counter("dust_manager_pairs_total",
+			"busy→dest pairs per placement round by what the round did with them", "change", change)
 	}
 	for _, result := range []string{"ok", "failed"} {
 		mm.verifications[result] = reg.Counter("dust_manager_placement_verifications_total",
@@ -297,9 +303,12 @@ func (mm *managerMetrics) observePhase(phase string, d time.Duration) {
 	mm.phaseSeconds[phase].Observe(d.Seconds())
 }
 
-// recordReport folds a finished placement round into the offer counters.
+// recordReport folds a finished placement round into the offer and pair
+// counters. Accepted offers are counted as their ACKs arrive: r.Accepted
+// also lists pairs the round kept without an offer.
 func (mm *managerMetrics) recordReport(r *PlacementReport) {
-	mm.offers["accepted"].Add(uint64(len(r.Accepted)))
+	mm.pairs["kept"].Add(uint64(r.Kept))
+	mm.pairs["released"].Add(uint64(len(r.Released)))
 	mm.offers["declined"].Add(uint64(len(r.Declined)))
 	mm.offers["timed_out"].Add(uint64(len(r.TimedOut)))
 	mm.retried.Add(uint64(len(r.Retried)))

@@ -698,28 +698,28 @@ func (db *NMDB) markHosting(dest, busy int, add bool) {
 	}
 }
 
-// RecordOffload folds assignments into the active ledger and marks the
-// destinations as hosting. An assignment for a pair the ledger already
-// maps merges into the existing entry (amounts add, the newer route and
-// response time win) — the ledger holds at most one entry per busy→dest
-// pair, mirroring the collapsed form SyncHosting reconciles to, so
-// repeated top-up offers cannot grow it without bound.
+// RecordOffload writes assignments into the active ledger and marks the
+// destinations as hosting. Amounts are absolute: an assignment for a pair
+// the ledger already maps replaces that entry (amount, route and response
+// time), so recording the same assignment twice changes nothing. The
+// ledger holds at most one entry per busy→dest pair. The route's edge list
+// is copied, so a later round comparing its plan against the entry never
+// reads planner storage that has since been reused.
 func (db *NMDB) RecordOffload(assignments []core.Assignment) {
 	db.lmu.Lock()
 	defer db.lmu.Unlock()
 	for _, a := range assignments {
+		a.Route.Edges = append([]graph.EdgeID(nil), a.Route.Edges...)
 		as := db.active[a.Busy]
-		merged := false
+		replaced := false
 		for i := range as {
 			if as[i].Candidate == a.Candidate {
-				as[i].Amount += a.Amount
-				as[i].ResponseTimeSec = a.ResponseTimeSec
-				as[i].Route = a.Route
-				merged = true
+				as[i] = a
+				replaced = true
 				break
 			}
 		}
-		if !merged {
+		if !replaced {
 			db.active[a.Busy] = append(as, a)
 		}
 		db.markHosting(a.Candidate, a.Busy, true)
@@ -778,6 +778,41 @@ func (db *NMDB) ActiveAssignments() []core.Assignment {
 		out = append(out, db.active[b]...)
 	}
 	return out
+}
+
+// Pair returns the ledger entry for busy→dest, if there is one.
+func (db *NMDB) Pair(busy, dest int) (core.Assignment, bool) {
+	db.lmu.Lock()
+	defer db.lmu.Unlock()
+	for _, a := range db.active[busy] {
+		if a.Candidate == dest {
+			return a, true
+		}
+	}
+	return core.Assignment{}, false
+}
+
+// ReleasePair removes the busy→dest entry and returns it; ok is false when
+// the ledger did not map the pair.
+func (db *NMDB) ReleasePair(busy, dest int) (released core.Assignment, ok bool) {
+	db.lmu.Lock()
+	defer db.lmu.Unlock()
+	as := db.active[busy]
+	for i, a := range as {
+		if a.Candidate != dest {
+			continue
+		}
+		as = append(as[:i], as[i+1:]...)
+		if len(as) == 0 {
+			delete(db.active, busy)
+		} else {
+			db.active[busy] = as
+		}
+		db.markHosting(dest, busy, false)
+		db.muts.Add(1)
+		return a, true
+	}
+	return core.Assignment{}, false
 }
 
 // ReleaseBusy removes every assignment originating at busy and returns

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -21,7 +22,12 @@ type DynamicResult struct {
 	Rounds        int
 	Offloads      int
 	Substitutions int
-	Reclaims      int
+	// Releases counts pairs placement rounds withdrew: their origin
+	// stopped classifying busy or the plan moved them.
+	Releases int
+	// LedgerChecks counts rounds whose NMDB ledger matched, pair for pair,
+	// the ledger replayed from the placement reports and substitutions.
+	LedgerChecks int
 	// OverloadRoundsDUST counts node-rounds spent at or above CMax with
 	// DUST active; OverloadRoundsBaseline the same without offloading.
 	OverloadRoundsDUST     int
@@ -32,23 +38,33 @@ type DynamicResult struct {
 	FinalHosted float64
 }
 
-// dynamicModel is the shared load model the clients' Resources closures
-// read and the experiment mutates as placements/reclaims happen.
+// dynamicModel is the shared load model: clients report their demand
+// (base) in STATs, and the experiment replays the placement reports and
+// substitutions into pairs to know what every node actually carries.
 type dynamicModel struct {
-	mu        sync.Mutex
-	base      []float64 // random-walk intrinsic load
-	offloaded []float64 // capacity this node redirected away
-	hosted    []float64 // capacity this node hosts for others
+	mu    sync.Mutex
+	base  []float64 // random-walk intrinsic load: the demand STATs report
+	pairs map[[2]int]float64
 }
 
-func (m *dynamicModel) effective(n int) float64 {
+func (m *dynamicModel) demand(n int) float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.effectiveLocked(n)
+	return m.base[n]
 }
 
+// effectiveLocked is the load node n carries: its demand, minus what it
+// redirects away, plus what it hosts for others.
 func (m *dynamicModel) effectiveLocked(n int) float64 {
-	u := m.base[n] - m.offloaded[n] + m.hosted[n]
+	u := m.base[n]
+	for p, amt := range m.pairs {
+		if p[0] == n {
+			u -= amt
+		}
+		if p[1] == n {
+			u += amt
+		}
+	}
 	if u < 0 {
 		u = 0
 	}
@@ -101,9 +117,8 @@ func RunDynamic(cfg Config) (*DynamicResult, error) {
 	defer mgr.Close()
 
 	model := &dynamicModel{
-		base:      make([]float64, n),
-		offloaded: make([]float64, n),
-		hosted:    make([]float64, n),
+		base:  make([]float64, n),
+		pairs: make(map[[2]int]float64),
 	}
 	for i := range model.base {
 		model.base[i] = 30 + 40*rng.Float64()
@@ -116,7 +131,7 @@ func RunDynamic(cfg Config) (*DynamicResult, error) {
 		cl, err := cluster.NewClient(cluster.ClientConfig{
 			Node: i, Capable: true,
 			Resources: func() cluster.Resources {
-				return cluster.Resources{UtilPct: model.effective(i), DataMb: 50, NumAgents: 10}
+				return cluster.Resources{UtilPct: model.demand(i), DataMb: 50, NumAgents: 10}
 			},
 		}, clientEnd)
 		if err != nil {
@@ -173,7 +188,7 @@ func RunDynamic(cfg Config) (*DynamicResult, error) {
 			if err := cl.SendStat(); err != nil {
 				return nil, err
 			}
-			want := model.effective(i)
+			want := model.demand(i)
 			if err := waitNMDB(mgr, i, want); err != nil {
 				return nil, err
 			}
@@ -195,14 +210,10 @@ func RunDynamic(cfg Config) (*DynamicResult, error) {
 		model.mu.Lock()
 		for _, s := range subs {
 			res.Substitutions++
-			if s.Failed >= 0 {
-				model.hosted[s.Failed] -= s.Amount
-			}
+			delete(model.pairs, [2]int{s.Busy, s.Failed})
 			if s.Replica >= 0 {
-				model.hosted[s.Replica] += s.Amount
-			} else {
-				// No replica: the origin takes its load back.
-				model.offloaded[s.Busy] -= s.Amount
+				// With no replica the origin takes its load back.
+				model.pairs[[2]int{s.Busy, s.Replica}] += s.Amount
 			}
 		}
 		if len(subs) > 0 {
@@ -210,36 +221,27 @@ func RunDynamic(cfg Config) (*DynamicResult, error) {
 		}
 		model.mu.Unlock()
 
-		// Reclaim origins whose intrinsic load recovered well below CMax.
-		for _, a := range activeBusy(mgr) {
-			model.mu.Lock()
-			recovered := model.base[a]-model.offloaded[a] < th.CMax-15
-			model.mu.Unlock()
-			if !recovered {
-				continue
-			}
-			released := mgr.ReclaimBusy(a)
-			model.mu.Lock()
-			for _, as := range released {
-				res.Reclaims++
-				model.offloaded[as.Busy] -= as.Amount
-				model.hosted[as.Candidate] -= as.Amount
-			}
-			model.mu.Unlock()
-		}
-
-		// Placement round.
+		// Placement round: it converges the ledger to the plan for the
+		// current demand, releasing the pairs of origins that recovered.
 		report, err := mgr.RunPlacement()
 		if err != nil {
 			return nil, err
 		}
 		model.mu.Lock()
-		for _, a := range report.Accepted {
-			res.Offloads++
-			model.offloaded[a.Busy] += a.Amount
-			model.hosted[a.Candidate] += a.Amount
+		for _, a := range report.Released {
+			res.Releases++
+			delete(model.pairs, [2]int{a.Busy, a.Candidate})
 		}
+		for _, a := range report.Accepted {
+			model.pairs[[2]int{a.Busy, a.Candidate}] = a.Amount
+		}
+		res.Offloads += len(report.Accepted) - report.Kept
+		err = ledgerMatches(mgr, model.pairs)
 		model.mu.Unlock()
+		if err != nil {
+			return nil, fmt.Errorf("experiments: round %d: %w", round, err)
+		}
+		res.LedgerChecks++
 
 		// Occasionally a destination goes silent.
 		if failedDest < 0 && rng.Float64() < 0.15 {
@@ -250,8 +252,8 @@ func RunDynamic(cfg Config) (*DynamicResult, error) {
 	}
 
 	model.mu.Lock()
-	for _, h := range model.hosted {
-		res.FinalHosted += h
+	for _, amt := range model.pairs {
+		res.FinalHosted += amt
 	}
 	model.mu.Unlock()
 	if res.OverloadRoundsBaseline > 0 {
@@ -272,16 +274,20 @@ func waitNMDB(mgr *cluster.Manager, node int, want float64) error {
 	return fmt.Errorf("experiments: STAT from node %d never recorded", node)
 }
 
-func activeBusy(mgr *cluster.Manager) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, a := range mgr.NMDB().ActiveAssignments() {
-		if !seen[a.Busy] {
-			seen[a.Busy] = true
-			out = append(out, a.Busy)
+// ledgerMatches checks the manager's ledger against the pairs replayed
+// from the placement reports and substitutions, pair for pair.
+func ledgerMatches(mgr *cluster.Manager, pairs map[[2]int]float64) error {
+	ledger := mgr.NMDB().ActiveAssignments()
+	if len(ledger) != len(pairs) {
+		return fmt.Errorf("ledger has %d pairs, the reports replay to %d", len(ledger), len(pairs))
+	}
+	for _, a := range ledger {
+		want, ok := pairs[[2]int{a.Busy, a.Candidate}]
+		if !ok || math.Abs(a.Amount-want) > 1e-9 {
+			return fmt.Errorf("ledger pair %d→%d = %g, the reports replay to %g", a.Busy, a.Candidate, a.Amount, want)
 		}
 	}
-	return out
+	return nil
 }
 
 // Table renders the run summary.
@@ -290,7 +296,7 @@ func (r *DynamicResult) Table() string {
 		{"rounds (virtual minutes)", fmt.Sprintf("%d", r.Rounds)},
 		{"offload placements accepted", fmt.Sprintf("%d", r.Offloads)},
 		{"destination substitutions (REP)", fmt.Sprintf("%d", r.Substitutions)},
-		{"reclaims", fmt.Sprintf("%d", r.Reclaims)},
+		{"pairs released by placement rounds", fmt.Sprintf("%d", r.Releases)},
 		{"overload node-rounds, baseline", fmt.Sprintf("%d", r.OverloadRoundsBaseline)},
 		{"overload node-rounds, DUST", fmt.Sprintf("%d", r.OverloadRoundsDUST)},
 		{"overload relief", f1(r.ReliefPct) + "%"},

@@ -368,6 +368,11 @@ func TestDynamicControlLoop(t *testing.T) {
 	if res.Offloads == 0 {
 		t.Fatal("drifting load never triggered an offload")
 	}
+	// Every round's ledger must equal the pairs replayed from that round's
+	// report (Accepted in force, Released gone) and the substitutions.
+	if res.LedgerChecks != res.Rounds {
+		t.Fatalf("ledger checked in %d of %d rounds", res.LedgerChecks, res.Rounds)
+	}
 	// DUST must reduce overload exposure relative to the no-offload
 	// baseline of the same load trajectory.
 	if res.OverloadRoundsDUST >= res.OverloadRoundsBaseline {
