@@ -7,7 +7,7 @@
 # oracle; fuzz-smoke gives every native fuzz target a short randomized
 # budget on top of its checked-in corpus (DESIGN.md §11).
 
-.PHONY: all build check check-race verify fuzz-smoke bench bench-smoke bench-baseline bench-compare bench-databus bench-probe bench-ingest-sampled bench-incremental chaos chaos-smoke failover databus-demo measured-demo
+.PHONY: all build check check-race verify fuzz-smoke bench bench-smoke bench-baseline bench-compare bench-databus bench-probe bench-ingest-sampled chaos chaos-smoke failover databus-demo measured-demo
 
 STATICCHECK := $(shell command -v staticcheck 2>/dev/null)
 
@@ -28,7 +28,6 @@ endif
 	-$(MAKE) bench-databus
 	-$(MAKE) bench-probe
 	-$(MAKE) bench-ingest-sampled
-	-$(MAKE) bench-incremental
 
 # Differential tier: 1000 seeded random instances solved by every
 # applicable solver (simplex, transport, ILP) and cross-checked against
@@ -45,7 +44,6 @@ verify:
 FUZZTIME ?= 10s
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzSolveTransport$$' -fuzztime $(FUZZTIME) ./internal/lp
-	go test -run '^$$' -fuzz '^FuzzRepairTransport$$' -fuzztime $(FUZZTIME) ./internal/lp
 	go test -run '^$$' -fuzz '^FuzzSimplexModel$$' -fuzztime $(FUZZTIME) ./internal/lp
 	go test -run '^$$' -fuzz '^FuzzProtoRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/proto
 	go test -run '^$$' -fuzz '^FuzzRouteCacheEquivalence$$' -fuzztime $(FUZZTIME) ./internal/core
@@ -119,15 +117,6 @@ bench-databus:
 bench-probe:
 	go test -run '^$$' -bench 'BenchmarkProbe|BenchmarkPingerTick' \
 		-benchmem ./internal/probe
-
-# Incremental-solve smoke (DESIGN.md §17): repair vs warm vs cold solve
-# modes over the shared 1-client drift sequence, with the cross-mode
-# objective-equality gate enforced by the runner itself. Emits the
-# machine-readable BENCH_INCREMENTAL.json next to the table. Non-fatal
-# in check, like bench-compare — the mode counts and objective gaps are
-# deterministic per seed, the wall times are not.
-bench-incremental:
-	go run ./cmd/dustbench -experiment incremental -quick -json BENCH_INCREMENTAL.json
 
 # Sampled-ingest frontier smoke: replays the reporting-policy study
 # (DESIGN.md §16) at the quick scale and prints the bytes/objective-gap

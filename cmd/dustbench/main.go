@@ -4,9 +4,8 @@
 //
 // Usage:
 //
-//	dustbench [-experiment all|fig1|fig6|fig7|fig8|fig9|fig10|fig11|fig12|qos|validate|dynamic|measureddrift|measuredchaos|hardware|ablations|ingest|databus|sampledingest|incremental]
-//	          [-quick] [-seed N] [-iters N] [-parallelism N] [-nmdb-shards N] [-warm-solve]
-//	          [-incremental-solve] [-json FILE]
+//	dustbench [-experiment all|fig1|fig6|fig7|fig8|fig9|fig10|fig11|fig12|qos|validate|dynamic|measureddrift|measuredchaos|hardware|ablations|ingest|databus|sampledingest]
+//	          [-quick] [-seed N] [-iters N] [-parallelism N] [-nmdb-shards N] [-json FILE]
 //
 // -quick runs the trimmed configuration (seconds); the default runs the
 // paper-faithful iteration counts (minutes).
@@ -30,8 +29,6 @@ func main() {
 		iters  = flag.Int("iters", 0, "override the per-point iteration count (0 = config default)")
 		par    = flag.Int("parallelism", 0, "route-table worker pool size (0/1 = serial, -1 = one per CPU)")
 		shards = flag.Int("nmdb-shards", 0, "NMDB registry stripe count for manager-backed experiments (0 = cluster default; rounded up to a power of two)")
-		warm   = flag.Bool("warm-solve", true, "seed consecutive placement solves from the previous round's basis in manager-backed experiments")
-		incr   = flag.Bool("incremental-solve", false, "repair the previous round's basis in place for delta-local changes in manager-backed experiments (implies -warm-solve)")
 		jsonTo = flag.String("json", "", "also write the selected experiments' results as JSON to this file")
 	)
 	flag.Parse()
@@ -48,11 +45,6 @@ func main() {
 	}
 	cfg.Parallelism = *par
 	cfg.NMDBShards = *shards
-	cfg.WarmSolve = *warm
-	cfg.IncrementalSolve = *incr
-	if *incr {
-		cfg.WarmSolve = true
-	}
 
 	type runner struct {
 		name string
@@ -83,7 +75,6 @@ func main() {
 		{"ingest", func() (interface{ Table() string }, error) { return experiments.RunIngestScaling(cfg) }},
 		{"databus", func() (interface{ Table() string }, error) { return experiments.RunDatabusThroughput(cfg) }},
 		{"sampledingest", func() (interface{ Table() string }, error) { return experiments.RunSampledIngest(cfg) }},
-		{"incremental", func() (interface{ Table() string }, error) { return experiments.RunIncrementalSolve(cfg) }},
 	}
 
 	ran := 0

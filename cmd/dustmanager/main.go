@@ -40,7 +40,6 @@ func main() {
 	var (
 		listen    = flag.String("listen", "127.0.0.1:7700", "listen address")
 		ckptPath  = flag.String("checkpoint-path", "", "durable NMDB checkpoint file (restored at start, written periodically and on shutdown)")
-		snapshot  = flag.String("snapshot", "", "deprecated alias for -checkpoint-path")
 		ckptEvery = flag.Duration("checkpoint-interval", 30*time.Second, "periodic checkpoint cadence (negative = shutdown-only)")
 		standbyOf = flag.String("standby-of", "", "run as a warm standby replicating from this primary manager address")
 		promote   = flag.Duration("promote-after", 10*time.Second, "replication silence before a standby promotes itself (negative = manual only)")
@@ -63,8 +62,6 @@ func main() {
 		metrics   = flag.String("metrics-addr", "", "address serving /metrics, /healthz, and /debug/pprof (empty = disabled)")
 		verifyPl  = flag.Bool("verify-placements", false, "self-audit every solver result against the Eq. 3 invariants before offering it (debug)")
 		shards    = flag.Int("nmdb-shards", cluster.DefaultNMDBShards, "NMDB registry stripe count (rounded up to a power of two; <1 = default)")
-		warmSolve = flag.Bool("warm-solve", true, "seed each placement solve from the previous tick's basis when the busy/candidate sets are unchanged")
-		incrSolve = flag.Bool("incremental-solve", false, "repair the previous tick's basis in place when only a few clients changed, instead of re-solving (implies -warm-solve; see DESIGN.md §17)")
 		measured  = flag.Bool("measured-costs", false, "blend client probe reports (RTT/loss) into route edge costs (DESIGN.md §15)")
 		measStale = flag.Duration("measured-stale", 0, "probe measurement lifetime before an edge falls back to static costs (0 = default)")
 		staleHzn  = flag.Duration("staleness-horizon", 0, "NMDB report-freshness horizon for sampled clients: heartbeat-refreshed records hold their last classification inside it and go neutral beyond it (0 = disabled, classify from raw samples; see DESIGN.md §16)")
@@ -91,16 +88,6 @@ func main() {
 	}
 	params.Parallelism = *par
 	params.CacheEpsilon = *routeEps
-	params.WarmSolve = *warmSolve
-	params.IncrementalSolve = *incrSolve
-	if *incrSolve {
-		params.WarmSolve = true
-	}
-
-	checkpoint := *ckptPath
-	if checkpoint == "" {
-		checkpoint = *snapshot
-	}
 
 	// The databus is the telemetry data plane: STATs the manager ingests
 	// (and telemetry-batch frames destinations relay) fan out to a
@@ -143,7 +130,7 @@ func main() {
 		PlacementRetries:    *retries,
 		VerifyPlacements:    *verifyPl,
 		NMDBShards:          *shards,
-		CheckpointPath:      checkpoint,
+		CheckpointPath:      *ckptPath,
 		CheckpointInterval:  *ckptEvery,
 		ReplicationInterval: *replEvery,
 		Follower:            *standbyOf != "",
@@ -161,9 +148,9 @@ func main() {
 	defer mgr.Close() // shutdown checkpoint
 	if err := mgr.RestoreError(); err != nil {
 		log.Printf("dustmanager: checkpoint restore failed, starting blind (file moved aside): %v", err)
-	} else if checkpoint != "" && len(mgr.NMDB().Nodes()) > 0 {
+	} else if *ckptPath != "" && len(mgr.NMDB().Nodes()) > 0 {
 		log.Printf("dustmanager: restored NMDB from %s (%d clients, %d active assignments)",
-			checkpoint, len(mgr.NMDB().Nodes()), len(mgr.NMDB().ActiveAssignments()))
+			*ckptPath, len(mgr.NMDB().Nodes()), len(mgr.NMDB().ActiveAssignments()))
 	}
 	if *metrics != "" {
 		srv, err := obs.Serve(*metrics, mgr.Metrics())

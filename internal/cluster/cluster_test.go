@@ -89,43 +89,49 @@ func newHarnessWith(t *testing.T, topo *graph.Graph, tweak func(*ManagerConfig),
 	t.Cleanup(mgr.Close)
 
 	for _, cfg := range clientCfgs {
-		cfg := cfg
-		node := cfg.Node
-		if cfg.Resources == nil {
-			cfg.Resources = func() Resources {
-				h.mu.Lock()
-				defer h.mu.Unlock()
-				return Resources{UtilPct: h.utils[node], DataMb: h.data[node], NumAgents: 10}
-			}
-		}
-		clientEnd, managerEnd := proto.Pipe(16)
-		cl, err := NewClient(cfg, clientEnd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		done := make(chan error, 1)
-		go func() {
-			_, err := mgr.Attach(managerEnd)
-			done <- err
-		}()
-		if err := cl.Handshake(); err != nil {
-			t.Fatal(err)
-		}
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-		h.clients[node] = cl
-		// Reader loop so the client answers Offload-Requests during
-		// synchronous RunPlacement calls.
-		go func() {
-			for {
-				if _, err := cl.Step(); err != nil {
-					return
-				}
-			}
-		}()
+		h.attach(cfg)
 	}
 	return h
+}
+
+// attach connects a client to the harness manager over an in-memory pipe,
+// completes its handshake, and starts its reader loop.
+func (h *testHarness) attach(cfg ClientConfig) {
+	t := h.t
+	node := cfg.Node
+	if cfg.Resources == nil {
+		cfg.Resources = func() Resources {
+			h.mu.Lock()
+			defer h.mu.Unlock()
+			return Resources{UtilPct: h.utils[node], DataMb: h.data[node], NumAgents: 10}
+		}
+	}
+	clientEnd, managerEnd := proto.Pipe(16)
+	cl, err := NewClient(cfg, clientEnd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := h.manager.Attach(managerEnd)
+		done <- err
+	}()
+	if err := cl.Handshake(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	h.clients[node] = cl
+	// Reader loop so the client answers Offload-Requests during
+	// synchronous RunPlacement calls.
+	go func() {
+		for {
+			if _, err := cl.Step(); err != nil {
+				return
+			}
+		}
+	}()
 }
 
 func (h *testHarness) setUtil(node int, util, dataMb float64) {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -128,6 +129,62 @@ func TestSteadyRoundKeepsPairs(t *testing.T) {
 	redirMu.Unlock()
 	if math.Abs(sum-12) > 1e-9 {
 		t.Fatalf("second round redirected %g, want the excess 12", sum)
+	}
+}
+
+// TestRestoredLedgerKeepsPairs: a checkpoint carries each pair's route,
+// so the first round of a manager restored from it, over unchanged STATs,
+// keeps every pair and sends the destinations no Offload-Request. Without
+// the routes every restored pair would read as resized and be re-offered.
+func TestRestoredLedgerKeepsPairs(t *testing.T) {
+	clients := []ClientConfig{
+		{Node: 0, Capable: true},
+		{Node: 1, Capable: true},
+		{Node: 2, Capable: true},
+		{Node: 3, Capable: true},
+	}
+	utils := [][2]float64{{92, 50}, {45, 0}, {30, 0}, {65, 0}}
+	h1 := newHarness(t, lineTopology(4), clients)
+	for node, u := range utils {
+		h1.setUtil(node, u[0], u[1])
+	}
+	first, err := h1.manager.RunPlacement()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.Accepted) != 2 {
+		t.Fatalf("first round = %+v, want two pairs", first)
+	}
+	var ckpt bytes.Buffer
+	if err := h1.manager.NMDB().SaveSnapshot(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+
+	h2 := newHarness(t, lineTopology(4), nil)
+	if err := h2.manager.NMDB().LoadSnapshot(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	regs := map[int]*obs.Registry{1: obs.NewRegistry(), 2: obs.NewRegistry()}
+	for _, cfg := range clients {
+		cfg.Metrics = regs[cfg.Node]
+		h2.attach(cfg)
+	}
+	for node, u := range utils {
+		h2.setUtil(node, u[0], u[1])
+	}
+	rep, err := h2.manager.RunPlacement()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := func(change string) uint64 {
+		return h2.manager.Metrics().Counter("dust_manager_pairs_total", "", "change", change).Value()
+	}
+	if rep.Kept != 2 || pairs("kept") != 2 || pairs("new") != 0 || pairs("resized") != 0 || pairs("released") != 0 {
+		t.Fatalf("restored round kept %d pairs (kept %d, new %d, resized %d, released %d), want both kept",
+			rep.Kept, pairs("kept"), pairs("new"), pairs("resized"), pairs("released"))
+	}
+	if got := offloadRequestsAt(regs[1]) + offloadRequestsAt(regs[2]); got != 0 {
+		t.Fatalf("restored round sent the destinations %d Offload-Requests, want 0", got)
 	}
 }
 

@@ -34,9 +34,7 @@ type ManagerConfig struct {
 	// Defaults are the thresholds for clients that do not declare their
 	// own CMax/COMax.
 	Defaults core.Thresholds
-	// Params configures the optimization engine (Params.WarmSolve lets the
-	// planner seed each tick's transportation solve from the previous
-	// tick's optimal basis when the busy/candidate split is unchanged).
+	// Params configures the optimization engine.
 	Params core.Params
 	// NMDBShards stripes the NMDB client registry across this many locks
 	// so concurrent STAT/keepalive ingest does not serialize; 0 selects
@@ -146,14 +144,6 @@ type Manager struct {
 	// through SnapshotState, whose reused buffers are only valid while
 	// ticks do not overlap (see that method's aliasing contract).
 	tickMu sync.Mutex
-	// Cross-tick version watermarks for the PlanDelta (guarded by tickMu):
-	// the NMDB delta only covers client records, so graph mutations and
-	// measured-overlay movement are detected here by version comparison.
-	// tickedOnce gates the first round, which has no previous tick to
-	// diff against.
-	tickedOnce      bool
-	prevGraphVer    uint64
-	prevMeasuredVer uint64
 
 	mu    sync.Mutex
 	conns map[int]proto.Conn
@@ -438,19 +428,13 @@ func (m *Manager) touchPair(busy, dest int, at time.Time) {
 // NMDB exposes the manager's database (read-mostly; used by tooling).
 func (m *Manager) NMDB() *NMDB { return m.nmdb }
 
-// Planner exposes the manager's planner (warm/repair solve statistics,
-// route-cache stats).
+// Planner exposes the manager's planner (route-cache stats).
 func (m *Manager) Planner() *core.Planner { return m.planner }
 
 // Metrics exposes the registry the manager instruments — the configured
 // one, or the private registry created when none was configured. Serve it
 // with obs.Serve to get /metrics, /healthz, and pprof.
 func (m *Manager) Metrics() *obs.Registry { return m.cfg.Metrics }
-
-// WarmStats reports how the manager's placement solves started: warm
-// (basis reused from the previous tick), cold, or fallback (a warm
-// attempt that re-solved cold after the seed was rejected).
-func (m *Manager) WarmStats() core.WarmSolveStats { return m.planner.WarmStats() }
 
 // RouteCacheStats reports the planner's route-cache traffic (hits, misses,
 // evictions, flushes) — the observable trace of measured-cost revalidation.
@@ -1106,33 +1090,6 @@ func (r *PlacementReport) Abandoned() int {
 	return len(r.Declined) + len(r.TimedOut) + len(r.Unplaced)
 }
 
-// foldVersionDeltas completes the NMDB's client-record delta with the
-// change sources the NMDB cannot see: graph mutations (structure or
-// link-rate drift — both reprice routes, so both conservatively read as
-// TopologyChanged) and measured-overlay movement. Runs under tickMu;
-// the watermarks compare this tick's versions to the previous tick's.
-// The first round has nothing to diff against and invalidates the delta.
-func (m *Manager) foldVersionDeltas(delta *core.PlanDelta) {
-	gv := m.cfg.Topology.Version()
-	var mv uint64
-	if m.measured != nil {
-		mv = m.measured.Version()
-	}
-	if !m.tickedOnce {
-		delta.Valid = false
-	} else {
-		if gv != m.prevGraphVer {
-			delta.TopologyChanged = true
-		}
-		if mv != m.prevMeasuredVer {
-			delta.MeasuredChanged = true
-		}
-	}
-	m.tickedOnce = true
-	m.prevGraphVer = gv
-	m.prevMeasuredVer = mv
-}
-
 // RunPlacement executes one round of the DUST Monitoring Placement
 // Workflow: snapshot the NMDB, classify roles (honoring per-client
 // thresholds), run the optimization engine, and converge the offload
@@ -1171,8 +1128,7 @@ func (m *Manager) RunPlacement() (report *PlacementReport, err error) {
 		}
 	}()
 
-	state, delta := m.nmdb.SnapshotStateDelta(m.cfg.Defaults)
-	m.foldVersionDeltas(&delta)
+	state := m.nmdb.SnapshotState(m.cfg.Defaults)
 	phaseStart := time.Now()
 	cls, err := m.classify(state)
 	m.metrics.observePhase("classify", time.Since(phaseStart))
@@ -1189,17 +1145,13 @@ func (m *Manager) RunPlacement() (report *PlacementReport, err error) {
 		return report, nil
 	}
 	// The planner reuses route computations across rounds while the
-	// topology's link rates are unchanged; with Params.IncrementalSolve
-	// the delta additionally lets it repair the previous basis in place.
-	res, err := m.planner.SolveClassifiedDelta(state, cls, &delta)
+	// topology's link rates are unchanged.
+	res, err := m.planner.SolveClassified(state, cls)
 	if err != nil {
 		return nil, err
 	}
 	m.metrics.observePhase("route", res.RouteDuration)
 	m.metrics.observePhase("solve", res.SolveDuration)
-	mode := res.SolveMode()
-	m.metrics.solveMode[mode].Inc()
-	m.metrics.solveModeSeconds[mode].Observe(res.SolveDuration.Seconds())
 	if m.cfg.VerifyPlacements {
 		if verr := verify.CheckResult(state, res, m.cfg.Params.Solver); verr != nil {
 			m.metrics.verifications["failed"].Inc()

@@ -48,12 +48,6 @@ type managerMetrics struct {
 	// (ClientRecord.StatSuppressed / StatGapLoss).
 	statGapLoss *obs.Counter
 
-	// Incremental solving (DESIGN.md §17): how each placement round's
-	// transportation solve started, and the solve-phase latency split by
-	// that mode so the repair speedup is visible without a benchmark.
-	solveMode        map[string]*obs.Counter   // mode: repair, warm, cold
-	solveModeSeconds map[string]*obs.Histogram // mode: repair, warm, cold
-
 	// Telemetry data plane: MsgTelemetryBatch frames relayed into the
 	// databus (see ManagerConfig.Databus).
 	telemetryFrames  map[string]*obs.Counter // result: published, decode_error, no_bus
@@ -116,9 +110,7 @@ func newManagerMetrics(reg *obs.Registry) *managerMetrics {
 			"reporting intervals clients suppressed, as declared on received frames"),
 		statGapLoss: reg.Counter("dust_manager_stat_gap_loss_total",
 			"frames inferred lost from per-sender sequence gaps"),
-		solveMode:        make(map[string]*obs.Counter),
-		solveModeSeconds: make(map[string]*obs.Histogram),
-		telemetryFrames:  make(map[string]*obs.Counter),
+		telemetryFrames: make(map[string]*obs.Counter),
 		telemetrySamples: reg.Counter("dust_manager_telemetry_samples_total",
 			"samples decoded from telemetry-batch frames and republished"),
 		probeRelays: make(map[string]*obs.Counter),
@@ -145,12 +137,6 @@ func newManagerMetrics(reg *obs.Registry) *managerMetrics {
 	for _, phase := range []string{"classify", "route", "solve", "dispatch"} {
 		mm.phaseSeconds[phase] = reg.Histogram("dust_manager_tick_phase_seconds",
 			"placement round phase duration", nil, "phase", phase)
-	}
-	for _, mode := range []string{"repair", "warm", "cold"} {
-		mm.solveMode[mode] = reg.Counter("dust_manager_solve_mode_total",
-			"placement solves by how they started", "mode", mode)
-		mm.solveModeSeconds[mode] = reg.Histogram("dust_manager_solve_mode_seconds",
-			"solve-phase duration split by solve mode", nil, "mode", mode)
 	}
 	for _, verdict := range []string{"accepted", "declined", "timed_out"} {
 		mm.offers[verdict] = reg.Counter("dust_manager_offers_total",
@@ -279,22 +265,6 @@ func (mm *managerMetrics) bindGauges(reg *obs.Registry, db *NMDB, planner *core.
 	reg.GaugeFunc("dust_nmdb_snapshot_shards_rebuilt",
 		"tick-snapshot shards re-read from client records", func() float64 {
 			return float64(db.Stats().SnapshotShardsRebuilt)
-		})
-	reg.GaugeFunc("dust_planner_solves_repaired",
-		"placement solves completed by delta-local basis repair", func() float64 {
-			return float64(planner.WarmStats().Repaired)
-		})
-	reg.GaugeFunc("dust_planner_solves_warm",
-		"placement solves seeded from the previous tick's basis", func() float64 {
-			return float64(planner.WarmStats().Warm)
-		})
-	reg.GaugeFunc("dust_planner_solves_cold",
-		"placement solves built from scratch", func() float64 {
-			return float64(planner.WarmStats().Cold)
-		})
-	reg.GaugeFunc("dust_planner_solves_warm_fallback",
-		"solves that wanted a warm start but fell back cold", func() float64 {
-			return float64(planner.WarmStats().Fallback)
 		})
 }
 

@@ -497,8 +497,8 @@ func (db *NMDB) SnapshotState(defaults core.Thresholds) *core.State {
 // comparison, and only rebuilt shards' rows are diffed against the
 // previous buffer. The delta is invalid (Valid=false) on the first
 // snapshot and whenever the previous buffer was unusable (defaults
-// change, explicit invalidation); measured/topology flags are the
-// caller's to fill in — the NMDB does not track those versions.
+// change, explicit invalidation); TopologyChanged is the caller's to
+// fill in — the NMDB does not track graph versions.
 func (db *NMDB) SnapshotStateDelta(defaults core.Thresholds) (*core.State, core.PlanDelta) {
 	db.snap.mu.Lock()
 	defer db.snap.mu.Unlock()

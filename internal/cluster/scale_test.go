@@ -370,21 +370,20 @@ func BenchmarkNMDBIngestParallel(b *testing.B) {
 	})
 }
 
-// benchManager builds a manager over a random 160-node topology with a
+// tickBench builds a manager over a random 160-node topology with a
 // stable busy/candidate split and 10% per-tick STAT drift that preserves
-// every node's role, so the warm solver can reuse its basis each tick.
+// every node's role.
 type tickBench struct {
 	mgr  *Manager
+	topo *graph.Graph
 	rng  *rand.Rand
-	base []float64
 	n    int
 }
 
-func newTickBench(tb testing.TB, warm bool) *tickBench {
-	return newTickBenchMode(tb, warm, false)
-}
+// tickDefaults are the thresholds every tick-bench node classifies under.
+var tickDefaults = core.Thresholds{CMax: 80, COMax: 50, XMin: 1}
 
-func newTickBenchMode(tb testing.TB, warm, incremental bool) *tickBench {
+func newTickBench(tb testing.TB) *tickBench {
 	const n = 160
 	rng := rand.New(rand.NewSource(17))
 	topo := graph.RandomConnected(n, 0.05, 1000, rng)
@@ -392,40 +391,40 @@ func newTickBenchMode(tb testing.TB, warm, incremental bool) *tickBench {
 	// need nonzero utilization to carry offload traffic at all.
 	graph.RandomizeUtilization(topo, 0.3, 0.9, rng)
 	params := core.DefaultParams()
-	params.WarmSolve = warm
-	params.IncrementalSolve = incremental
 	// Exhaustive route enumeration is exponential on a 160-node random
 	// graph; the DP strategy computes the same Eq. 2 minima in polynomial
 	// time and keeps the benchmark about solve cost, not path counting.
 	params.PathStrategy = core.PathDP
 	mgr, err := NewManager(ManagerConfig{
 		Topology: topo,
-		Defaults: core.Thresholds{CMax: 80, COMax: 50, XMin: 1},
+		Defaults: tickDefaults,
 		Params:   params,
-		// Every tick's result — warm-started or not — passes the
-		// independent verify oracle before it counts.
+		// Every tick's result passes the independent verify oracle before
+		// it counts.
 		VerifyPlacements: true,
 	})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	base := make([]float64, n)
 	at := time.Unix(1, 0)
 	for i := 0; i < n; i++ {
 		if err := mgr.NMDB().Register(i, true, 0, 0); err != nil {
 			tb.Fatal(err)
 		}
-		// A third of the nodes run hot (busy), the rest idle (candidates).
-		if i%3 == 0 {
-			base[i] = 85 + 10*rng.Float64() // busy: well above CMax 80
-		} else {
-			base[i] = 15 + 20*rng.Float64() // candidate: below COMax 50
-		}
-		if err := mgr.NMDB().RecordStat(i, base[i], 20, 1, at); err != nil {
+		if err := mgr.NMDB().RecordStat(i, bandUtil(rng, i%3 == 0), 20, 1, at); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	return &tickBench{mgr: mgr, rng: rng, base: base, n: n}
+	return &tickBench{mgr: mgr, topo: topo, rng: rng, n: n}
+}
+
+// bandUtil draws a utilization inside the busy band (well above CMax 80)
+// or the candidate band (below COMax 50). A third of the nodes run hot.
+func bandUtil(rng *rand.Rand, busy bool) float64 {
+	if busy {
+		return 85 + 10*rng.Float64()
+	}
+	return 15 + 20*rng.Float64()
 }
 
 // drift re-reports ~10% of nodes with a wiggled utilization that stays
@@ -436,18 +435,38 @@ func (tb *tickBench) drift() {
 		if tb.rng.Float64() > 0.10 {
 			continue
 		}
-		var u float64
-		if i%3 == 0 {
-			u = 85 + 10*tb.rng.Float64()
-		} else {
-			u = 15 + 20*tb.rng.Float64()
-		}
-		tb.mgr.NMDB().RecordStat(i, u, 20, 1, at)
+		tb.mgr.NMDB().RecordStat(i, bandUtil(tb.rng, i%3 == 0), 20, 1, at)
 	}
 }
 
-func benchmarkManagerTick(b *testing.B, warm bool) {
-	tb := newTickBench(b, warm)
+// drift1 re-reports exactly one node with a wiggled utilization that
+// stays inside its role band: the steady-state tick shape, one client
+// moved since the last round.
+func (tb *tickBench) drift1() {
+	i := tb.rng.Intn(tb.n)
+	tb.mgr.NMDB().RecordStat(i, bandUtil(tb.rng, i%3 == 0), 20, 1, time.Unix(2, 0))
+}
+
+// flipRoles reports one busy-band node as a candidate and one
+// candidate-band node as busy, so the round's busy/candidate split moves.
+func (tb *tickBench) flipRoles() {
+	at := time.Unix(2, 0)
+	b, c := 3*tb.rng.Intn(tb.n/3), 3*tb.rng.Intn(tb.n/3)+1
+	tb.mgr.NMDB().RecordStat(b, bandUtil(tb.rng, false), 20, 1, at)
+	tb.mgr.NMDB().RecordStat(c, bandUtil(tb.rng, true), 20, 1, at)
+}
+
+// editLinks sets four random links to a new utilization, which reprices
+// routes and makes the route cache evict.
+func (tb *tickBench) editLinks() {
+	for k := 0; k < 4; k++ {
+		id := graph.EdgeID(tb.rng.Intn(tb.topo.NumEdges()))
+		tb.topo.SetUtilization(id, 0.3+0.6*tb.rng.Float64())
+	}
+}
+
+func BenchmarkManagerTickCold(b *testing.B) {
+	tb := newTickBench(b)
 	if _, err := tb.mgr.RunPlacement(); err != nil {
 		b.Fatal(err)
 	}
@@ -460,155 +479,72 @@ func benchmarkManagerTick(b *testing.B, warm bool) {
 			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
-	if warm {
-		st := tb.mgr.planner.WarmStats()
-		if b.N > 2 && st.Warm == 0 {
-			b.Fatalf("warm bench never warm-started: %+v", st)
-		}
-		total := st.Warm + st.Cold + st.Fallback
-		if total > 0 {
-			b.ReportMetric(float64(st.Warm)/float64(total), "warm_ratio")
-		}
-	}
 }
 
-// drift1 re-reports exactly one node with a wiggled utilization that
-// stays inside its role band — the steady-state tick shape the repair
-// solver targets (one client moved since the last round).
-func (tb *tickBench) drift1() {
-	at := time.Unix(2, 0)
-	i := tb.rng.Intn(tb.n)
-	var u float64
-	if i%3 == 0 {
-		u = 85 + 10*tb.rng.Float64()
-	} else {
-		u = 15 + 20*tb.rng.Float64()
-	}
-	tb.mgr.NMDB().RecordStat(i, u, 20, 1, at)
-}
-
-func BenchmarkManagerTickCold(b *testing.B) { benchmarkManagerTick(b, false) }
-func BenchmarkManagerTickWarm(b *testing.B) { benchmarkManagerTick(b, true) }
-
-// BenchmarkManagerTickRepair measures the incremental-solve tick at
-// 1-client drift: each round exactly one node re-reports, so the planner
-// repairs the previous basis instead of re-solving. Compare against
-// BenchmarkManagerTickWarm (same shape, full re-price) for the repair
-// speedup; the tentpole target is ≥5×.
-func BenchmarkManagerTickRepair(b *testing.B) {
-	tb := newTickBenchMode(b, true, true)
-	if _, err := tb.mgr.RunPlacement(); err != nil {
-		b.Fatal(err)
-	}
-	// One settling round so the delta watermarks and stored solution exist.
-	if _, err := tb.mgr.RunPlacement(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		tb.drift1()
-		b.StartTimer()
-		if _, err := tb.mgr.RunPlacement(); err != nil {
-			b.Fatal(err)
+// checkTicksAgainstStateless is the manager-level exactness gate. It runs
+// rounds placement rounds on one manager, applying moves[r%len(moves)]
+// after round r. Every round's result must pass the verify oracle and its
+// objective must equal a stateless core.SolveClassified of the same NMDB
+// state. The stateless solve recomputes every route, so the manager's
+// route cache, carried from round to round, is checked against a
+// from-scratch table. It returns the route cache's counters.
+func checkTicksAgainstStateless(t *testing.T, rounds int, moves ...func(*tickBench)) core.CacheStats {
+	t.Helper()
+	tb := newTickBench(t)
+	params := tb.mgr.planner.Params()
+	for round := 0; round < rounds; round++ {
+		rep, err := tb.mgr.RunPlacement()
+		if err != nil {
+			t.Fatal(err)
 		}
+		if rep.Result == nil {
+			t.Fatalf("round %d: missing result", round)
+		}
+		state := tb.mgr.NMDB().BuildState(tickDefaults)
+		if err := verify.CheckResult(state, rep.Result, core.SolverTransport); err != nil {
+			t.Fatalf("round %d: result failed verification: %v", round, err)
+		}
+		cls, err := core.Classify(state, tickDefaults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.SolveClassified(state, cls, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Result.Status != want.Status {
+			t.Fatalf("round %d: manager status %v, stateless %v", round, rep.Result.Status, want.Status)
+		}
+		tol := 1e-6 * (1 + math.Abs(want.Objective))
+		if math.Abs(rep.Result.Objective-want.Objective) > tol {
+			t.Fatalf("round %d: manager objective %g, stateless %g", round, rep.Result.Objective, want.Objective)
+		}
+		if want.Status != core.StatusOptimal {
+			t.Fatalf("round %d: status %v, want an optimal fixture", round, want.Status)
+		}
+		moves[round%len(moves)](tb)
 	}
-	b.StopTimer()
-	st := tb.mgr.planner.WarmStats()
-	if b.N > 2 && st.Repaired == 0 {
-		b.Fatalf("repair bench never repaired: %+v", st)
-	}
-	total := st.Repaired + st.Warm + st.Cold + st.Fallback
-	if total > 0 {
-		b.ReportMetric(float64(st.Repaired)/float64(total), "repair_ratio")
-	}
+	return tb.mgr.RouteCacheStats()
 }
 
-// TestWarmTickMatchesColdTick is the manager-level equivalence gate for
-// the tick benchmarks' configuration: warm and cold managers see the same
-// drift sequence; every round their objectives must agree within ε and
-// the warm result must pass the verify oracle.
+// TestWarmTickMatchesColdTick compares a warm manager, one whose route
+// cache and ledger carry over from earlier rounds, with a cold stateless
+// solve, over the tick benchmarks' 10% in-band drift alternating with
+// role flips.
 func TestWarmTickMatchesColdTick(t *testing.T) {
-	warm := newTickBench(t, true)
-	cold := newTickBench(t, false) // same seed → identical topology and drift
-	defaults := core.Thresholds{CMax: 80, COMax: 50, XMin: 1}
-	for round := 0; round < 12; round++ {
-		rw, err := warm.mgr.RunPlacement()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rc, err := cold.mgr.RunPlacement()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rw.Result == nil || rc.Result == nil {
-			t.Fatalf("round %d: missing results", round)
-		}
-		if rw.Result.Status != rc.Result.Status {
-			t.Fatalf("round %d: warm status %v, cold %v", round, rw.Result.Status, rc.Result.Status)
-		}
-		tol := 1e-6 * (1 + math.Abs(rc.Result.Objective))
-		if math.Abs(rw.Result.Objective-rc.Result.Objective) > tol {
-			t.Fatalf("round %d: warm objective %g, cold %g", round, rw.Result.Objective, rc.Result.Objective)
-		}
-		state := warm.mgr.NMDB().BuildState(defaults)
-		if err := verify.CheckResult(state, rw.Result, core.SolverTransport); err != nil {
-			t.Fatalf("round %d: warm result failed verification: %v", round, err)
-		}
-		warm.drift()
-		cold.drift()
-	}
-	if st := warm.mgr.planner.WarmStats(); st.Warm == 0 {
-		t.Fatalf("warm manager never warm-started: %+v", st)
-	}
-	if st := cold.mgr.planner.WarmStats(); st.Warm != 0 {
-		t.Fatalf("cold manager warm-started: %+v", st)
+	st := checkTicksAgainstStateless(t, 12, (*tickBench).drift, (*tickBench).flipRoles)
+	if st.Hits == 0 {
+		t.Fatalf("route cache never hit: %+v", st)
 	}
 }
 
-// TestRepairTickMatchesColdTick is the manager-level exactness gate for
-// incremental solving: an incremental manager and a cold manager see the
-// same 1-client drift sequence; every round the objectives must agree,
-// the repaired result must pass the verify oracle, and the run must have
-// actually exercised the repair path (not just fallen back).
+// TestRepairTickMatchesColdTick compares the manager with a cold
+// stateless solve over rounds cycling 1-client drift, role flips and
+// link edits. Link edits reprice routes, so the route cache must evict
+// and rebuild the stale rows; the run must both hit and evict.
 func TestRepairTickMatchesColdTick(t *testing.T) {
-	inc := newTickBenchMode(t, true, true)
-	cold := newTickBenchMode(t, false, false) // same seed → identical topology and drift
-	defaults := core.Thresholds{CMax: 80, COMax: 50, XMin: 1}
-	for round := 0; round < 16; round++ {
-		ri, err := inc.mgr.RunPlacement()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rc, err := cold.mgr.RunPlacement()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ri.Result == nil || rc.Result == nil {
-			t.Fatalf("round %d: missing results", round)
-		}
-		if ri.Result.Status != rc.Result.Status {
-			t.Fatalf("round %d: incremental status %v, cold %v", round, ri.Result.Status, rc.Result.Status)
-		}
-		tol := 1e-6 * (1 + math.Abs(rc.Result.Objective))
-		if math.Abs(ri.Result.Objective-rc.Result.Objective) > tol {
-			t.Fatalf("round %d (%s): incremental objective %g, cold %g",
-				round, ri.Result.SolveMode(), ri.Result.Objective, rc.Result.Objective)
-		}
-		state := inc.mgr.NMDB().BuildState(defaults)
-		if err := verify.CheckResult(state, ri.Result, core.SolverTransport); err != nil {
-			t.Fatalf("round %d (%s): incremental result failed verification: %v",
-				round, ri.Result.SolveMode(), err)
-		}
-		inc.drift1()
-		cold.drift1()
-	}
-	st := inc.mgr.planner.WarmStats()
-	if st.Repaired == 0 {
-		t.Fatalf("incremental manager never repaired: %+v", st)
-	}
-	if got := inc.mgr.metrics.solveMode["repair"].Value(); got != st.Repaired {
-		t.Fatalf("solve-mode counter %d, planner repaired %d", got, st.Repaired)
+	st := checkTicksAgainstStateless(t, 18, (*tickBench).drift1, (*tickBench).flipRoles, (*tickBench).editLinks)
+	if st.Hits == 0 || st.Evicted == 0 {
+		t.Fatalf("route cache never both hit and evicted: %+v", st)
 	}
 }

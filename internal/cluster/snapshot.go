@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 )
 
 // nmdbSnapshot is the wire form of the NMDB's durable state: a small
@@ -51,6 +52,10 @@ type assignmentSnapshot struct {
 	Candidate       int     `json:"candidate"`
 	Amount          float64 `json:"amount"`
 	ResponseTimeSec float64 `json:"response_time_sec"`
+	// RouteEdges is the route from Busy to Candidate. A restored pair
+	// whose route is unchanged is kept, not re-offered. Checkpoints
+	// written before routes were saved lack it and restore route-less.
+	RouteEdges []graph.EdgeID `json:"route_edges,omitempty"`
 }
 
 // snapshotVersion 2 introduced the checksummed envelope (version 1 was a
@@ -99,6 +104,7 @@ func (db *NMDB) SaveSnapshot(w io.Writer) error {
 			body.Active = append(body.Active, assignmentSnapshot{
 				Busy: a.Busy, Candidate: a.Candidate,
 				Amount: a.Amount, ResponseTimeSec: a.ResponseTimeSec,
+				RouteEdges: a.Route.Edges,
 			})
 		}
 	}
@@ -177,9 +183,14 @@ func (db *NMDB) LoadSnapshot(r io.Reader) error {
 		if a.Amount < 0 {
 			return fmt.Errorf("cluster: snapshot assignment with negative amount %g", a.Amount)
 		}
+		route, err := db.restoreRoute(a)
+		if err != nil {
+			return err
+		}
 		active[a.Busy] = append(active[a.Busy], core.Assignment{
 			Busy: a.Busy, Candidate: a.Candidate,
 			Amount: a.Amount, ResponseTimeSec: a.ResponseTimeSec,
+			Route: route,
 		})
 	}
 
@@ -205,4 +216,31 @@ func sortedActiveKeys(m map[int][]core.Assignment) []int {
 	}
 	sort.Ints(out)
 	return out
+}
+
+// restoreRoute rebuilds a saved assignment's route. Its edges must exist
+// in the topology and walk from the busy node to the candidate; anything
+// else marks the snapshot corrupt. No saved edges restore an empty route.
+func (db *NMDB) restoreRoute(a assignmentSnapshot) (graph.Path, error) {
+	if len(a.RouteEdges) == 0 {
+		return graph.Path{}, nil
+	}
+	cur := a.Busy
+	for _, id := range a.RouteEdges {
+		if id < 0 || int(id) >= db.topo.NumEdges() {
+			return graph.Path{}, fmt.Errorf("%w: assignment %d→%d route edge %d outside topology (%d edges)",
+				ErrSnapshotCorrupt, a.Busy, a.Candidate, id, db.topo.NumEdges())
+		}
+		e := db.topo.Edge(id)
+		if cur != e.U && cur != e.V {
+			cur = -1
+			break
+		}
+		cur = e.Other(cur)
+	}
+	if cur != a.Candidate {
+		return graph.Path{}, fmt.Errorf("%w: assignment %d→%d route %v is not a walk between them",
+			ErrSnapshotCorrupt, a.Busy, a.Candidate, a.RouteEdges)
+	}
+	return graph.Path{Src: a.Busy, Dst: a.Candidate, Edges: a.RouteEdges}, nil
 }

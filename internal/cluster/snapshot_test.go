@@ -86,6 +86,10 @@ func TestLoadSnapshotErrors(t *testing.T) {
 			[]byte(`{"clients":[],"active":[{"busy":0,"candidate":42,"amount":5}]}`), nil), false, "0→42 outside topology"},
 		{"negative amount", envelope(t, snapshotVersion,
 			[]byte(`{"clients":[],"active":[{"busy":0,"candidate":1,"amount":-3}]}`), nil), false, "negative amount"},
+		{"route edge outside topology", envelope(t, snapshotVersion,
+			[]byte(`{"clients":[],"active":[{"busy":0,"candidate":1,"amount":5,"route_edges":[7]}]}`), nil), true, "route edge 7 outside topology"},
+		{"route not a walk", envelope(t, snapshotVersion,
+			[]byte(`{"clients":[],"active":[{"busy":0,"candidate":1,"amount":5,"route_edges":[2]}]}`), nil), true, "not a walk"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

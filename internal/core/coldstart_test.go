@@ -12,7 +12,7 @@ import (
 )
 
 // fleet160 builds the end-to-end benchmark's fixture (bench/, and
-// newTickBenchMode in internal/cluster) as a bare state: a 160-node random
+// newTickBench in internal/cluster) as a bare state: a 160-node random
 // topology with link utilization 30–90 %, every third node busy at 85–95 %
 // and the rest candidates at 15–35 %, 20 Mb of monitoring data each, all
 // drawn from one seeded stream in that order.

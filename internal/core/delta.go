@@ -3,24 +3,15 @@ package core
 import "sort"
 
 // PlanDelta describes how a state snapshot differs from the previous
-// planning round's, so the planner can choose the cheapest solve mode:
-// repair (delta-local basis pivots), warm (basis re-price), or cold. It
-// deliberately over-approximates — Changed may name clients that did not
-// actually move (the NMDB marks whole shards), and the planner re-checks
-// every claimed-unchanged quantity numerically before trusting it. An
-// invalid delta (Valid=false) just means "unknown"; the planner then
-// behaves exactly as without a delta.
+// planning round's. It deliberately over-approximates — Changed may name
+// clients that did not actually move (the NMDB marks whole shards). An
+// invalid delta (Valid=false) just means "unknown".
 type PlanDelta struct {
 	Valid bool
 	// Changed lists, in ascending order, the node IDs whose records may
 	// have changed since the previous snapshot.
 	Changed []int
-	// MeasuredChanged reports that the measured-cost overlay (RTT/loss
-	// probing) moved, which can reprice any route without any client
-	// changing.
-	MeasuredChanged bool
-	// TopologyChanged reports a graph change; route structure may have
-	// changed shape, so only a structural (warm/cold) solve is sound.
+	// TopologyChanged reports a graph change since the previous snapshot.
 	TopologyChanged bool
 }
 
@@ -28,26 +19,4 @@ type PlanDelta struct {
 func (d *PlanDelta) ChangedContains(node int) bool {
 	k := sort.SearchInts(d.Changed, node)
 	return k < len(d.Changed) && d.Changed[k] == node
-}
-
-// DiffStates computes a PlanDelta between two state snapshots of the same
-// shape by direct comparison of the per-node planning inputs. It is the
-// delta source for callers without NMDB change tracking (experiments,
-// tests); the Manager derives deltas from NMDB shard sequence numbers
-// instead and never pays this scan. Measured/topology changes are not
-// visible in the State and stay false — callers tracking those versions
-// must set the flags themselves.
-func DiffStates(prev, cur *State) PlanDelta {
-	if prev == nil || cur == nil || prev.G != cur.G ||
-		len(prev.Util) != len(cur.Util) || len(prev.DataMb) != len(cur.DataMb) ||
-		len(prev.Offloadable) != len(cur.Offloadable) {
-		return PlanDelta{}
-	}
-	d := PlanDelta{Valid: true}
-	for i := range cur.Util {
-		if prev.Util[i] != cur.Util[i] || prev.DataMb[i] != cur.DataMb[i] || prev.Offloadable[i] != cur.Offloadable[i] {
-			d.Changed = append(d.Changed, i)
-		}
-	}
-	return d
 }

@@ -1,13 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-	"sync"
-	"time"
-
-	"repro/internal/lp"
-)
+import "time"
 
 // Planner is a Solve front-end over a RouteCache: it caches per-source
 // route computations across placement rounds and revalidates them against
@@ -23,57 +16,11 @@ import (
 // PathEnumerate pass through uncached but still parallel.
 type Planner struct {
 	cache *RouteCache
-	warm  warmSolveState
-}
-
-// warmSolveState carries the transportation solver's optimal basis (and
-// the busy/candidate split it belongs to) from one placement round to the
-// next, plus the warm/cold bookkeeping telemetry reads. For incremental
-// solving it also keeps the previous round's raw solution and problem
-// data (supplies, demands, cost rows), which the next round diffs against
-// to build the lp.TransportDelta a repair needs. prevSecs retains the
-// route table's cost rows directly — assembleRouteTable allocates fresh
-// rows every round, so the reference stays immutable. Guarded by its
-// mutex so a metrics scrape can read the counters while a tick solves.
-type warmSolveState struct {
-	mu       sync.Mutex
-	basis    *lp.TransportBasis
-	busy     []int
-	cands    []int
-	prevSol  *lp.TransportSolution
-	prevCs   []float64
-	prevCd   []float64
-	prevSecs [][]float64
-	stats    WarmSolveStats
-}
-
-// WarmSolveStats counts how the Planner's transportation solves started.
-type WarmSolveStats struct {
-	// Repaired counts solves completed by delta-local basis repair
-	// (IncrementalSolve with a usable PlanDelta and a local delta).
-	Repaired uint64
-	// Warm counts solves seeded from the previous round's basis.
-	Warm uint64
-	// Cold counts solves built from scratch: warm starting disabled, the
-	// first round, or a non-transport engine (simplex/ILP never seed).
-	Cold uint64
-	// Fallback counts solves that wanted a warm start but could not use
-	// one — the busy/candidate split changed since the last round, or the
-	// carried basis was rejected as infeasible for the new supplies.
-	Fallback uint64
 }
 
 // NewPlanner creates a planner with fixed parameters.
 func NewPlanner(params Params) *Planner {
 	return &Planner{cache: NewRouteCache(params)}
-}
-
-// WarmStats reports how the planner's placement solves started (for tests
-// and telemetry).
-func (pl *Planner) WarmStats() WarmSolveStats {
-	pl.warm.mu.Lock()
-	defer pl.warm.mu.Unlock()
-	return pl.warm.stats
 }
 
 // Params returns the planner's solve configuration.
@@ -101,15 +48,6 @@ func (pl *Planner) Solve(s *State) (*Result, error) {
 // SolveClassified is Solve with a caller-supplied classification (the
 // Manager classifies with per-client threshold overrides).
 func (pl *Planner) SolveClassified(s *State, c *Classification) (*Result, error) {
-	return pl.SolveClassifiedDelta(s, c, nil)
-}
-
-// SolveClassifiedDelta is SolveClassified with an optional change
-// description for the snapshot: with Params.IncrementalSolve set and a
-// valid delta, the transportation solve tries delta-local basis repair
-// before the warm and cold modes. A nil or invalid delta only forgoes the
-// repair attempt — the result is identical in every mode.
-func (pl *Planner) SolveClassifiedDelta(s *State, c *Classification, delta *PlanDelta) (*Result, error) {
 	if len(c.Busy) == 0 {
 		return &Result{Status: StatusOptimal, Classification: c}, nil
 	}
@@ -121,7 +59,7 @@ func (pl *Planner) SolveClassifiedDelta(s *State, c *Classification, delta *Plan
 	routeDur := time.Since(t0)
 
 	t1 := time.Now()
-	res, err := solveWithRoutesDelta(s, c, rt, pl.Params(), &pl.warm, delta)
+	res, err := solveWithRoutes(s, c, rt, pl.Params())
 	if err != nil {
 		return nil, err
 	}
@@ -130,189 +68,10 @@ func (pl *Planner) SolveClassifiedDelta(s *State, c *Classification, delta *Plan
 	return res, nil
 }
 
-// solveWithRoutes is SolveClassified with a precomputed route table.
-func solveWithRoutes(s *State, c *Classification, rt *RouteTable, p Params) (*Result, error) {
-	return solveWithRoutesDelta(s, c, rt, p, nil, nil)
-}
-
-// solveWithRoutesWarm is solveWithRoutes with an optional cross-round
-// warm-start carrier (nil for the stateless path).
-func solveWithRoutesWarm(s *State, c *Classification, rt *RouteTable, p Params, ws *warmSolveState) (*Result, error) {
-	return solveWithRoutesDelta(s, c, rt, p, ws, nil)
-}
-
-// solveWithRoutesDelta is solveWithRoutesWarm with an optional snapshot
-// delta enabling the incremental repair mode.
-func solveWithRoutesDelta(s *State, c *Classification, rt *RouteTable, p Params, ws *warmSolveState, delta *PlanDelta) (*Result, error) {
-	res := &Result{Status: StatusOptimal, Classification: c, Routes: rt}
-	if len(c.Busy) == 0 {
-		return res, nil
-	}
-	hetero := s.Heterogeneous()
-	if len(c.Candidates) == 0 || (!hetero && c.TotalCs() > c.TotalCd()+1e-9) {
-		res.Status = StatusInfeasible
-		return res, nil
-	}
-	solver := p.Solver
-	if hetero && solver == SolverTransport {
-		// Capability coefficients put per-cell weights on the capacity
-		// constraints, which the pure transportation method cannot carry;
-		// the general simplex solves the generalized problem exactly.
-		solver = SolverSimplex
-	}
-	var err error
-	switch solver {
-	case SolverTransport:
-		if ws != nil {
-			err = ws.solveTransport(c, rt, res, p, delta)
-		} else {
-			err = solveTransport(c, rt, res)
-		}
-	case SolverSimplex:
-		err = solveLP(s, c, rt, res, false)
-	case SolverILP:
-		err = solveLP(s, c, rt, res, true)
-	default:
-		err = fmt.Errorf("core: unknown solver kind %d", solver)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// solveTransport runs the transportation solve through the warm-start
-// carrier: when enabled and the busy/candidate split matches the previous
-// round's, the stored basis seeds the solve — and with IncrementalSolve
-// plus a valid PlanDelta, the solve is attempted as a delta-local basis
-// repair first (repair → warm → cold ladder; see DESIGN.md §17). Either
-// way this round's optimal basis (and its split, solution, and problem
-// data) replaces the stored state. A split change or a rejected seed
-// counts as a fallback and solves cold — the result is identical in every
-// case, only the pivot work differs.
-func (ws *warmSolveState) solveTransport(c *Classification, rt *RouteTable, res *Result, p Params, pd *PlanDelta) error {
-	var seed *lp.TransportBasis
-	var prevSol *lp.TransportSolution
-	var tdelta lp.TransportDelta
-	wanted, repairable := false, false
-	if p.WarmSolve {
-		ws.mu.Lock()
-		if ws.basis != nil {
-			wanted = true
-			if equalInts(ws.busy, c.Busy) && equalInts(ws.cands, c.Candidates) {
-				seed = ws.basis
-				if p.IncrementalSolve && pd != nil && pd.Valid && ws.prevSol != nil {
-					tdelta, repairable = ws.buildTransportDelta(c, rt, pd)
-					prevSol = ws.prevSol
-				}
-			}
-		}
-		ws.mu.Unlock()
-	}
-
-	var sol *lp.TransportSolution
-	var basis *lp.TransportBasis
-	var err error
-	if repairable {
-		sol, basis, err = lp.RepairTransport(transportProblem(c, rt), prevSol, seed, tdelta)
-	} else {
-		sol, basis, err = lp.SolveTransportWarm(transportProblem(c, rt), seed)
-	}
-	if err != nil {
-		return err
-	}
-	if err := extractTransport(c, rt, res, sol); err != nil {
-		return err
-	}
-
-	ws.mu.Lock()
-	switch {
-	case res.Repaired:
-		ws.stats.Repaired++
-	case res.WarmStarted:
-		ws.stats.Warm++
-	case wanted:
-		ws.stats.Fallback++
-	default:
-		ws.stats.Cold++
-	}
-	if basis != nil {
-		ws.basis = basis
-		ws.busy = append(ws.busy[:0], c.Busy...)
-		ws.cands = append(ws.cands[:0], c.Candidates...)
-		ws.prevSol = sol
-		ws.prevCs = append(ws.prevCs[:0], c.Cs...)
-		ws.prevCd = append(ws.prevCd[:0], c.Cd...)
-		ws.prevSecs = rt.Seconds
-	} else {
-		// Infeasible rounds leave no optimal basis to carry forward.
-		ws.basis = nil
-		ws.prevSol = nil
-		ws.prevSecs = nil
-	}
-	ws.mu.Unlock()
-	return nil
-}
-
-// buildTransportDelta diffs the current problem against the previous
-// round's stored copy and renders the difference as an lp.TransportDelta.
-// Supplies and demands are compared in full (O(m+n)) — a changed
-// threshold or persona can move a supply without the client appearing in
-// the PlanDelta's changed list. Cost rows are the O(m·n) part, so only
-// the rows the delta implicates are compared: rows of changed clients,
-// or every row when the measured overlay moved (any route may have been
-// repriced). A row the delta clears is provably unchanged — costs are
-// data·distance, data comes from the client's own record, and distance
-// moves only with the graph (TopologyChanged) or the overlay. A
-// forbidden-lane flip (Inf ↔ finite) renders the delta structural, as
-// does a topology change. ok=false means the stored copy cannot support
-// a diff (shape drift) and the solve should run warm instead.
-func (ws *warmSolveState) buildTransportDelta(c *Classification, rt *RouteTable, pd *PlanDelta) (d lp.TransportDelta, ok bool) {
-	if pd.TopologyChanged {
-		return lp.TransportDelta{Structural: true}, true
-	}
-	m, n := len(c.Busy), len(c.Candidates)
-	if len(ws.prevCs) != m || len(ws.prevCd) != n || len(ws.prevSecs) != m {
-		return lp.TransportDelta{}, false
-	}
-	for i, cs := range c.Cs {
-		if cs != ws.prevCs[i] {
-			d.SupplyRows = append(d.SupplyRows, i)
-		}
-	}
-	for j, cd := range c.Cd {
-		if cd != ws.prevCd[j] {
-			d.DemandCols = append(d.DemandCols, j)
-		}
-	}
-	for bi, node := range c.Busy {
-		if !pd.MeasuredChanged && !pd.ChangedContains(node) {
-			continue
-		}
-		prow, crow := ws.prevSecs[bi], rt.Seconds[bi]
-		if len(prow) != n || len(crow) != n {
-			return lp.TransportDelta{}, false
-		}
-		for cj := range crow {
-			if crow[cj] != prow[cj] {
-				if math.IsInf(crow[cj], 1) != math.IsInf(prow[cj], 1) {
-					return lp.TransportDelta{Structural: true}, true
-				}
-				d.CostCells = append(d.CostCells, lp.DeltaCell{I: bi, J: cj})
-			}
-		}
-	}
-	return d, true
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+// SolveClassifiedDelta is SolveClassified; the change description is
+// ignored. Every round is one cold transportation solve (DESIGN.md §17),
+// so a delta has nothing left to steer. It stays for callers that thread
+// an NMDB delta through.
+func (pl *Planner) SolveClassifiedDelta(s *State, c *Classification, _ *PlanDelta) (*Result, error) {
+	return pl.SolveClassified(s, c)
 }

@@ -36,7 +36,7 @@ import (
 //     evict only the rows whose cached routes use the edge — routes that
 //     avoid an edge stay optimal when that edge gets worse.
 //
-// With CacheEpsilon = 0 the rules are exact: a warm solve returns the same
+// With CacheEpsilon = 0 the rules are exact: a cached solve returns the same
 // table a cold solve would. Sub-ε drift accumulates against the snapshot,
 // so a slow ramp still evicts once it crosses ε in total.
 //

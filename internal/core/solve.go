@@ -64,22 +64,6 @@ type Params struct {
 	// error by (1 + ε/(1−ε))² − 1 ≈ 2ε. 0 keeps revalidation exact: any
 	// rate change evicts exactly the rows it can affect.
 	CacheEpsilon float64
-	// WarmSolve lets a Planner seed each transportation solve from the
-	// previous round's optimal basis when the busy/candidate split is
-	// unchanged, re-pricing instead of rebuilding the Big-M start from
-	// scratch. The answer is identical either way (MODI runs to optimality
-	// from any feasible basis; incompatible seeds fall back cold) — only
-	// the pivot work changes. Ignored outside a Planner: the stateless
-	// Solve path has no previous round to seed from.
-	WarmSolve bool
-	// IncrementalSolve (requires WarmSolve) lets a Planner go one step
-	// further when the caller supplies a PlanDelta: instead of re-pricing
-	// the whole problem from the carried basis, lp.RepairTransport applies
-	// delta-local pivots on just the changed rows/columns, falling back
-	// down the ladder (repair → warm → cold) whenever the delta turns out
-	// structural. Like WarmSolve, this never changes the answer, only the
-	// work — every fallback produces the same optimum.
-	IncrementalSolve bool
 	// Measured optionally blends active RTT/loss measurements into the
 	// rate model (DESIGN.md §15): every edge rate is multiplied by the
 	// overlay's per-edge factor before entering route costs. Nil keeps
@@ -200,29 +184,12 @@ type Result struct {
 	// (MODI potentials) and the simplex (constraint duals); nil for the
 	// ILP mode, whose value function has no gradients.
 	ShadowPrices map[int]float64
-	// WarmStarted reports that the transportation solve was seeded from
-	// the previous round's basis (Params.WarmSolve under a Planner).
-	WarmStarted bool
-	// Repaired reports that the solve was completed by delta-local basis
-	// repair (Params.IncrementalSolve under a Planner with a PlanDelta)
-	// rather than a full re-optimization. Repaired implies WarmStarted.
-	Repaired bool
 }
 
-// SolveMode names how the optimization ran, cheapest first: "repair"
-// (delta-local basis repair), "warm" (basis-seeded re-optimization), or
-// "cold" (from scratch). This is the label of the Manager's
-// dust_manager_solve_mode_total metric.
-func (r *Result) SolveMode() string {
-	switch {
-	case r.Repaired:
-		return "repair"
-	case r.WarmStarted:
-		return "warm"
-	default:
-		return "cold"
-	}
-}
+// SolveMode names how the optimization ran. Every transportation solve
+// starts cold, so it is always "cold"; the name survives for callers that
+// still tally solve modes.
+func (r *Result) SolveMode() string { return "cold" }
 
 // Bottlenecks returns the candidates with positive shadow price, sorted
 // by descending price: the spare-capacity bottlenecks of this placement.
@@ -293,20 +260,47 @@ func SolveClassified(s *State, c *Classification, p Params) (*Result, error) {
 	return res, nil
 }
 
-func solveTransport(c *Classification, rt *RouteTable, res *Result) error {
-	_, err := solveTransportWarm(c, rt, res, nil)
-	return err
-}
-
-// solveTransportWarm is solveTransport with an optional warm-start basis;
-// it returns this solve's optimal basis (nil unless the solve reached
-// optimality) for the caller to seed the next round with.
-func solveTransportWarm(c *Classification, rt *RouteTable, res *Result, warm *lp.TransportBasis) (*lp.TransportBasis, error) {
-	sol, basis, err := lp.SolveTransportWarm(transportProblem(c, rt), warm)
+// solveWithRoutes is SolveClassified with a precomputed route table.
+func solveWithRoutes(s *State, c *Classification, rt *RouteTable, p Params) (*Result, error) {
+	res := &Result{Status: StatusOptimal, Classification: c, Routes: rt}
+	if len(c.Busy) == 0 {
+		return res, nil
+	}
+	hetero := s.Heterogeneous()
+	if len(c.Candidates) == 0 || (!hetero && c.TotalCs() > c.TotalCd()+1e-9) {
+		res.Status = StatusInfeasible
+		return res, nil
+	}
+	solver := p.Solver
+	if hetero && solver == SolverTransport {
+		// Capability coefficients put per-cell weights on the capacity
+		// constraints, which the pure transportation method cannot carry;
+		// the general simplex solves the generalized problem exactly.
+		solver = SolverSimplex
+	}
+	var err error
+	switch solver {
+	case SolverTransport:
+		err = solveTransport(c, rt, res)
+	case SolverSimplex:
+		err = solveLP(s, c, rt, res, false)
+	case SolverILP:
+		err = solveLP(s, c, rt, res, true)
+	default:
+		err = fmt.Errorf("core: unknown solver kind %d", solver)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return basis, extractTransport(c, rt, res, sol)
+	return res, nil
+}
+
+func solveTransport(c *Classification, rt *RouteTable, res *Result) error {
+	sol, err := lp.SolveTransport(transportProblem(c, rt))
+	if err != nil {
+		return err
+	}
+	return extractTransport(c, rt, res, sol)
 }
 
 // transportProblem assembles the Eq. 3 transportation instance from a
@@ -323,8 +317,6 @@ func transportProblem(c *Classification, rt *RouteTable) lp.TransportProblem {
 // result: status, objective, shadow prices, and nonzero assignments.
 func extractTransport(c *Classification, rt *RouteTable, res *Result, sol *lp.TransportSolution) error {
 	res.Pivots = sol.Iterations
-	res.WarmStarted = sol.WarmStarted
-	res.Repaired = sol.Repaired
 	if sol.Status != lp.StatusOptimal {
 		res.Status = StatusInfeasible
 		return nil

@@ -99,8 +99,6 @@ func RunDynamic(cfg Config) (*DynamicResult, error) {
 	params.Thresholds = th
 	params.PathStrategy = core.PathDP
 	params.Parallelism = cfg.Parallelism
-	params.WarmSolve = cfg.WarmSolve
-	params.IncrementalSolve = cfg.IncrementalSolve
 	mgr, err := cluster.NewManager(cluster.ManagerConfig{
 		Topology:          topo,
 		Defaults:          th,

@@ -44,26 +44,17 @@ type Config struct {
 	// NMDBShards is the registry stripe count for runners that build a
 	// cluster.Manager (0 = cluster default). Rounded up to a power of two.
 	NMDBShards int
-	// WarmSolve lets those runners seed each placement solve from the
-	// previous tick's basis. Objectives are identical either way (the
-	// ingest experiment and internal/verify enforce it); only solve wall
-	// time changes.
-	WarmSolve bool
-	// IncrementalSolve additionally lets manager-backed runners repair
-	// the carried basis in place for delta-local changes (DESIGN.md §17).
-	// Requires WarmSolve; objectives are again identical in every mode.
-	IncrementalSolve bool
 }
 
 // Default returns the paper-faithful configuration.
 func Default() Config {
-	return Config{Seed: 1, Iterations: 100, SimSeconds: 600, LargeIterations: 3, WarmSolve: true}
+	return Config{Seed: 1, Iterations: 100, SimSeconds: 600, LargeIterations: 3}
 }
 
 // Quick returns a configuration small enough for unit tests and smoke
 // runs while keeping every code path exercised.
 func Quick() Config {
-	return Config{Seed: 1, Iterations: 12, SimSeconds: 60, LargeIterations: 1, Fast: true, WarmSolve: true}
+	return Config{Seed: 1, Iterations: 12, SimSeconds: 60, LargeIterations: 1, Fast: true}
 }
 
 // scenario draws a random fat-tree NMDB snapshot.

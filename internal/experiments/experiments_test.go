@@ -440,11 +440,8 @@ func TestIngestScaling(t *testing.T) {
 	if batch := res.Points[2]; batch.Speedup < 2 {
 		t.Fatalf("batch ingest speedup %.2f×, want ≥ 2× over the single-shard baseline", batch.Speedup)
 	}
-	if res.WarmTick <= 0 || res.ColdTick <= 0 {
-		t.Fatalf("tick times not measured: %+v", res)
-	}
-	if res.WarmRatio <= 0 {
-		t.Fatalf("warm manager never reused a basis: %+v", res)
+	if res.Tick <= 0 {
+		t.Fatalf("tick time not measured: %+v", res)
 	}
 	if res.ShardsReused == 0 {
 		t.Fatalf("epoch snapshot never reused a shard: %+v", res)

@@ -26,21 +26,14 @@ type IngestPoint struct {
 
 // IngestResult reports the ingest-to-solve hot-path study (DESIGN.md
 // §12): NMDB STAT throughput across registry layouts and batch shapes,
-// and warm- versus cold-started placement ticks over a drifting
-// snapshot. Warm and cold managers see the same drift sequence; the
-// equivalence of their objectives is enforced by the cluster and verify
-// test suites, so this runner only reports the wall-time split.
+// and placement ticks over a drifting snapshot.
 type IngestResult struct {
 	Points []IngestPoint
-	// Ticks is the number of drift+placement rounds timed per manager.
+	// Ticks is the number of drift+placement rounds timed.
 	Ticks int
-	// ColdTick and WarmTick are mean RunPlacement wall times.
-	ColdTick, WarmTick time.Duration
-	// WarmRatio is the fraction of the warm manager's solves that reused
-	// the previous basis (the rest fell back cold after drift moved the
-	// supplies/demands too far).
-	WarmRatio float64
-	// ShardsReused and ShardsRebuilt count the warm manager's epoch
+	// Tick is the mean RunPlacement wall time.
+	Tick time.Duration
+	// ShardsReused and ShardsRebuilt count the manager's epoch
 	// snapshot activity: shards copied from the previous tick's state
 	// versus re-read from client records.
 	ShardsReused, ShardsRebuilt uint64
@@ -154,10 +147,9 @@ func (r *IngestResult) addPoint(config, shape string, reports int, elapsed time.
 	r.Points = append(r.Points, p)
 }
 
-// runTicks times warm versus cold placement rounds on the scale the
-// cluster benchmarks use: a 160-node random topology with a stable
-// busy/candidate split and 10% per-tick STAT drift inside each node's
-// role band.
+// runTicks times placement rounds on the scale the cluster benchmarks
+// use: a 160-node random topology with a stable busy/candidate split and
+// 10% per-tick STAT drift inside each node's role band.
 func (r *IngestResult) runTicks(cfg Config, shards int) error {
 	const n = 160
 	ticks := cfg.Iterations
@@ -168,73 +160,57 @@ func (r *IngestResult) runTicks(cfg Config, shards int) error {
 		ticks = 4
 	}
 	r.Ticks = ticks
-	run := func(warm bool) (time.Duration, *cluster.Manager, error) {
-		rng := rand.New(rand.NewSource(cfg.Seed ^ 0x7157))
-		topo := graph.RandomConnected(n, 0.05, 1000, rng)
-		// The paper-literal rate model reads Lu = Cap·utilization, so
-		// links need nonzero utilization to carry offload traffic.
-		graph.RandomizeUtilization(topo, 0.3, 0.9, rng)
-		params := core.DefaultParams()
-		params.WarmSolve = warm
-		params.PathStrategy = core.PathDP
-		params.Parallelism = cfg.Parallelism
-		mgr, err := cluster.NewManager(cluster.ManagerConfig{
-			Topology:   topo,
-			Defaults:   core.Thresholds{CMax: 80, COMax: 50, XMin: 1},
-			Params:     params,
-			NMDBShards: shards,
-		})
-		if err != nil {
-			return 0, nil, err
+	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x7157))
+	topo := graph.RandomConnected(n, 0.05, 1000, rng)
+	// The paper-literal rate model reads Lu = Cap·utilization, so links
+	// need nonzero utilization to carry offload traffic.
+	graph.RandomizeUtilization(topo, 0.3, 0.9, rng)
+	params := core.DefaultParams()
+	params.PathStrategy = core.PathDP
+	params.Parallelism = cfg.Parallelism
+	mgr, err := cluster.NewManager(cluster.ManagerConfig{
+		Topology:   topo,
+		Defaults:   core.Thresholds{CMax: 80, COMax: 50, XMin: 1},
+		Params:     params,
+		NMDBShards: shards,
+	})
+	if err != nil {
+		return err
+	}
+	role := func(i int) float64 {
+		if i%3 == 0 {
+			return 85 + 10*rng.Float64() // busy: above CMax 80
 		}
-		role := func(i int) float64 {
-			if i%3 == 0 {
-				return 85 + 10*rng.Float64() // busy: above CMax 80
-			}
-			return 15 + 20*rng.Float64() // candidate: below COMax 50
+		return 15 + 20*rng.Float64() // candidate: below COMax 50
+	}
+	for i := 0; i < n; i++ {
+		if err := mgr.NMDB().Register(i, true, 0, 0); err != nil {
+			return err
 		}
+		if err := mgr.NMDB().RecordStat(i, role(i), 20, 1, time.Unix(1, 0)); err != nil {
+			return err
+		}
+	}
+	if _, err := mgr.RunPlacement(); err != nil {
+		return err
+	}
+	var total time.Duration
+	for t := 0; t < ticks; t++ {
 		for i := 0; i < n; i++ {
-			if err := mgr.NMDB().Register(i, true, 0, 0); err != nil {
-				return 0, nil, err
+			if rng.Float64() > 0.10 {
+				continue
 			}
-			if err := mgr.NMDB().RecordStat(i, role(i), 20, 1, time.Unix(1, 0)); err != nil {
-				return 0, nil, err
+			if err := mgr.NMDB().RecordStat(i, role(i), 20, 1, time.Unix(2, 0)); err != nil {
+				return err
 			}
 		}
+		start := time.Now()
 		if _, err := mgr.RunPlacement(); err != nil {
-			return 0, nil, err
+			return err
 		}
-		var total time.Duration
-		for t := 0; t < ticks; t++ {
-			for i := 0; i < n; i++ {
-				if rng.Float64() > 0.10 {
-					continue
-				}
-				if err := mgr.NMDB().RecordStat(i, role(i), 20, 1, time.Unix(2, 0)); err != nil {
-					return 0, nil, err
-				}
-			}
-			start := time.Now()
-			if _, err := mgr.RunPlacement(); err != nil {
-				return 0, nil, err
-			}
-			total += time.Since(start)
-		}
-		return total / time.Duration(ticks), mgr, nil
+		total += time.Since(start)
 	}
-	cold, _, err := run(false)
-	if err != nil {
-		return err
-	}
-	warm, mgr, err := run(true)
-	if err != nil {
-		return err
-	}
-	r.ColdTick, r.WarmTick = cold, warm
-	st := mgr.WarmStats()
-	if total := st.Warm + st.Cold + st.Fallback; total > 0 {
-		r.WarmRatio = float64(st.Warm) / float64(total)
-	}
+	r.Tick = total / time.Duration(ticks)
 	dbStats := mgr.NMDB().Stats()
 	r.ShardsReused = dbStats.SnapshotShardsReused
 	r.ShardsRebuilt = dbStats.SnapshotShardsRebuilt
@@ -252,16 +228,7 @@ func (r *IngestResult) Table() string {
 	out := "Ingest scaling — NMDB STAT throughput by registry layout and batch shape\n" +
 		table([]string{"registry", "shape", "ns/stat", "speedup"}, rows)
 	out += fmt.Sprintf(
-		"\nPlacement ticks (%d rounds, 160 nodes, 10%% drift): cold %s, warm %s (%.2f×), warm ratio %.2f, snapshot shards reused/rebuilt %d/%d\n",
-		r.Ticks, fdur(r.ColdTick), fdur(r.WarmTick),
-		float64(r.ColdTick)/float64(max64(r.WarmTick, 1)),
-		r.WarmRatio, r.ShardsReused, r.ShardsRebuilt)
+		"\nPlacement ticks (%d rounds, 160 nodes, 10%% drift): %s per tick, snapshot shards reused/rebuilt %d/%d\n",
+		r.Ticks, fdur(r.Tick), r.ShardsReused, r.ShardsRebuilt)
 	return out
-}
-
-func max64(d time.Duration, lo time.Duration) time.Duration {
-	if d < lo {
-		return lo
-	}
-	return d
 }

@@ -16,9 +16,9 @@ import (
 // MeasuredResult summarizes the measured-latency control loop experiment:
 // a congested link appears mid-run, active probes detect it, the measured
 // cost overlay shifts the edge costs, and the next placement re-routes —
-// evicting only the affected route-cache rows (a warm re-solve, not a
-// full rebuild) — while a static-cost baseline keeps sending traffic over
-// the congested link forever.
+// evicting only the affected route-cache rows (not a full rebuild) —
+// while a static-cost baseline keeps sending traffic over the congested
+// link forever.
 type MeasuredResult struct {
 	// Chaos marks the FaultConn variant (lossy, duplicating probe legs).
 	Chaos bool
@@ -41,8 +41,6 @@ type MeasuredResult struct {
 	// the end. Jitter must be absorbed (no evictions); the congestion must
 	// evict only the affected row (Misses == 2 cold + Evicted).
 	CacheAfterCold, CacheAfterJitter, CacheFinal core.CacheStats
-	// WarmSolves counts placement solves seeded from the previous basis.
-	WarmSolves uint64
 	// CongestedFactor is the congested edge's final measured rate factor.
 	CongestedFactor float64
 	// QualityRatio is modelled response time of the static route over the
@@ -145,8 +143,6 @@ func runMeasuredDrift(cfg Config, chaos bool) (*MeasuredResult, error) {
 	params.MaxHops = 3
 	params.CacheEpsilon = 0.05
 	params.Parallelism = cfg.Parallelism
-	params.WarmSolve = cfg.WarmSolve
-	params.IncrementalSolve = cfg.IncrementalSolve
 
 	var clockMu sync.Mutex
 	clock := time.Unix(0, 0)
@@ -362,7 +358,6 @@ func runMeasuredDrift(cfg Config, chaos bool) (*MeasuredResult, error) {
 		}
 	}
 	res.CacheFinal = mgr.RouteCacheStats()
-	res.WarmSolves = mgr.WarmStats().Warm
 
 	// Static baseline on the identical post-congestion state: without the
 	// overlay the edge costs never moved, so the solve still picks the
@@ -460,7 +455,6 @@ func (r *MeasuredResult) Table() string {
 		{"route cache flushes", fmt.Sprintf("%d", r.CacheFinal.Flushes)},
 		{"route cache evictions (targeted)", fmt.Sprintf("%d", r.CacheFinal.Evicted)},
 		{"route cache hits / misses", fmt.Sprintf("%d / %d", r.CacheFinal.Hits, r.CacheFinal.Misses)},
-		{"warm placement solves", fmt.Sprintf("%d", r.WarmSolves)},
 	}
 	return title + "\n" + table([]string{"metric", "value"}, rows)
 }

@@ -59,9 +59,6 @@ func TestMeasuredDriftControlLoop(t *testing.T) {
 		t.Fatalf("misses = %d, want 2 cold + %d evicted (only affected rows re-solved)",
 			res.CacheFinal.Misses, res.CacheFinal.Evicted)
 	}
-	if res.WarmSolves == 0 {
-		t.Fatal("no warm placement solves despite an unchanged busy/candidate split")
-	}
 	if res.Table() == "" {
 		t.Fatal("empty table")
 	}

@@ -133,8 +133,6 @@ func runSampledPolicy(cfg Config, topo *graph.Graph, name string, policy report.
 	now := func() time.Time { return time.Unix(0, clockNs.Load()) }
 
 	params := core.DefaultParams()
-	params.WarmSolve = cfg.WarmSolve
-	params.IncrementalSolve = cfg.IncrementalSolve
 	params.PathStrategy = core.PathDP
 	params.Parallelism = cfg.Parallelism
 	mgr, err := cluster.NewManager(cluster.ManagerConfig{

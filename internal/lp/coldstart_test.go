@@ -297,6 +297,31 @@ func checkColdStart(p TransportProblem) error {
 	return nil
 }
 
+// randomTransport draws a feasible random instance with occasional
+// forbidden lanes.
+func randomTransport(rng *rand.Rand, m, n int) TransportProblem {
+	p := TransportProblem{
+		Supply: make([]float64, m),
+		Demand: make([]float64, n),
+		Cost:   make([][]float64, m),
+	}
+	for i := range p.Supply {
+		p.Supply[i] = 1 + 20*rng.Float64()
+		p.Cost[i] = make([]float64, n)
+		for j := range p.Cost[i] {
+			if rng.Float64() < 0.05 {
+				p.Cost[i][j] = math.Inf(1)
+			} else {
+				p.Cost[i][j] = rng.Float64() * 100
+			}
+		}
+	}
+	for j := range p.Demand {
+		p.Demand[j] = 5 + 25*rng.Float64()
+	}
+	return p
+}
+
 // TestPivotWorkDoesNotAllocate: the per-pivot work — potentials, the
 // pricing scan and the cycle search — runs on the tableau's scratch. On an
 // optimal tableau optimize is exactly one potentials pass plus one

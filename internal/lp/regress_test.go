@@ -144,33 +144,22 @@ func TestTransportSubEpsExcessNotTruncated(t *testing.T) {
 	}
 }
 
-// TestRepairSubEpsReflowNotClamped: the repair's tree re-flow treated any
-// negative flow above -1e-9 as roundoff and clamped it to 0. After the
-// only open sink of a 1e-10 source closes, the re-flow puts exactly
-// -1e-10 on the dummy's cell there; clamping it kept the stale tree and
-// reported optimal, while the source can now only ship over a forbidden
-// lane. The threshold must shrink with the smallest supply, so the dual
-// simplex runs and the repair agrees with the cold verdict.
-func TestRepairSubEpsReflowNotClamped(t *testing.T) {
+// TestTransportSubEpsSinkClosedInfeasible: a 1e-10 source whose only
+// open sink has no capacity left can ship only over a forbidden lane. A
+// tree re-flow once put exactly -1e-10 on the dummy's cell at the closed
+// sink, treated it as roundoff, and reported the stale tree optimal. The
+// solve must call the instance infeasible.
+func TestTransportSubEpsSinkClosedInfeasible(t *testing.T) {
 	p := TransportProblem{
 		Supply: []float64{1e-10},
-		Demand: []float64{4.8, 0, 0, 4.8},
+		Demand: []float64{0, 0, 0, 4.8},
 		Cost:   [][]float64{{6, 6, 6, math.Inf(1)}},
 	}
-	prev, basis, err := SolveTransportWarm(p, nil)
-	if err != nil || prev.Status != StatusOptimal {
-		t.Fatalf("base solve: %v, status %v", err, prev.Status)
-	}
-	p.Demand = []float64{0, 0, 0, 4.8}
-	rep, _, err := RepairTransport(p, prev, basis, TransportDelta{DemandCols: []int{0}})
+	sol, err := SolveTransport(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := SolveTransport(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Status != StatusInfeasible || rep.Status != cold.Status {
-		t.Fatalf("repair %v, cold %v; want both infeasible", rep.Status, cold.Status)
+	if sol.Status != StatusInfeasible {
+		t.Fatalf("status = %v, want infeasible: source 0 has no open lane with capacity", sol.Status)
 	}
 }

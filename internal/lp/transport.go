@@ -1,7 +1,6 @@
 package lp
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -36,65 +35,12 @@ type TransportSolution struct {
 	// objective improvement per extra unit of capacity at j (exactly 0
 	// for sinks with slack capacity).
 	DualSupply, DualDemand []float64
-	// WarmStarted reports whether the solve was seeded from a prior basis
-	// (false when no basis was supplied or the seed was rejected).
-	WarmStarted bool
-	// Repaired reports that RepairTransport restored optimality with
-	// delta-local pivots instead of a full MODI re-optimization. Repaired
-	// implies WarmStarted.
-	Repaired bool
-}
-
-// TransportBasis is an opaque snapshot of the optimal basis spanning tree
-// of a solved transportation problem, reusable to warm-start a later solve
-// of a problem with the same shape (same source and sink counts and the
-// same forbidden-lane set). The flows it implies are recomputed from the
-// new supplies/demands, so a stale basis can never corrupt a solution — at
-// worst it is rejected and the solve falls back to the cold least-cost
-// start (real sources first, the dummy last; a pivot or two from optimal
-// on the DUST shapes). Beyond the tree, the snapshot carries each basic
-// cell's cost at capture time (in the balanced tableau's scaled units):
-// RepairTransport replays the capture-time duals from them to localize the
-// effect of a cost perturbation.
-type TransportBasis struct {
-	m, n  int
-	cells []cell
-	// costs[k] is the balanced scaled cost of cells[k] at capture; scale
-	// is the cost rescaling factor that was in force (1 except under
-	// extreme cost spreads).
-	costs []float64
-	scale float64
-	// forb[i*n+j] records which real lanes were forbidden (+Inf cost) at
-	// capture. A basis is only reusable while the forbidden set is
-	// unchanged: a newly forbidden lane could sit inside the tree and a
-	// newly allowed one changes which reduced costs exist at all.
-	forb []bool
-}
-
-// Dims returns the (sources, sinks) shape the basis was captured from.
-func (b *TransportBasis) Dims() (m, n int) { return b.m, b.n }
-
-// compatibleWith reports whether the basis can seed a solve of the
-// prepared problem: same shape and an unchanged forbidden-lane set.
-func (b *TransportBasis) compatibleWith(prep *transportPrep) bool {
-	if b == nil || b.m != prep.m || b.n != prep.n {
-		return false
-	}
-	if len(b.forb) != len(prep.forb) {
-		return false
-	}
-	for k := range b.forb {
-		if b.forb[k] != prep.forb[k] {
-			return false
-		}
-	}
-	return true
 }
 
 var errMalformed = errors.New("lp: malformed transportation problem")
 
 // transportPrep is the validated, balanced, Big-M'd form of a
-// TransportProblem, shared by the cold, warm, and repair entry points.
+// TransportProblem.
 type transportPrep struct {
 	m, n  int // original shape (rows excluding the dummy)
 	dummy int // row index of the balancing dummy source (after the real rows)
@@ -207,50 +153,22 @@ func prepareTransport(p TransportProblem) (*transportPrep, *TransportSolution, e
 // the 160-node fleet160 benchmark shape (54 sources × 106 sinks) that start
 // took 79 pivots, the dummy-last one takes 1.
 func SolveTransport(p TransportProblem) (*TransportSolution, error) {
-	sol, _, err := SolveTransportWarm(p, nil)
-	return sol, err
-}
-
-// SolveTransportWarm is SolveTransport with an optional warm start: when
-// warm carries the basis of a previously solved problem with the same
-// shape, the solve seeds the MODI iterations from that basis tree (its
-// flows recomputed for the current supplies/demands) instead of building
-// the least-cost start from scratch. Between consecutive DUST placement
-// rounds over an unchanged busy/candidate split the optimal basis rarely
-// moves, so re-pricing typically needs only a handful of pivots. The
-// returned basis snapshots this solve's optimal tree for the next round;
-// it is non-nil whenever the solve ran to optimality. Warm starts never
-// change the answer: MODI runs to optimality from any feasible basis, and
-// an incompatible or infeasible seed falls back to the cold start.
-//
-// Since the cold start ships real sources before the dummy (see
-// SolveTransport) it is itself within a pivot or two of optimal on the
-// DUST shapes, so a warm seed mostly saves that start's row scans rather
-// than pivots.
-func SolveTransportWarm(p TransportProblem, warm *TransportBasis) (*TransportSolution, *TransportBasis, error) {
 	prep, early, err := prepareTransport(p)
 	if early != nil || err != nil {
-		return early, nil, err
+		return early, err
 	}
 	t := newTransportTableau(prep)
-	warmStarted := false
-	if warm.compatibleWith(prep) {
-		warmStarted = t.warmStart(warm.cells, false)
-	}
-	if !warmStarted {
-		t.initialBasis()
-	}
+	t.initialBasis()
 	if err := t.optimize(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return finishTransport(t, p, prep, warmStarted, false)
+	return finishTransport(t, p, prep), nil
 }
 
-// finishTransport turns an optimized tableau into the exported solution
-// and the reusable basis snapshot: the forbidden-flow feasibility audit,
-// the basis capture (before evictForbidden rewires the tree), the dual
-// gauge fix, and the objective recomputed from the original costs.
-func finishTransport(t *transportTableau, p TransportProblem, prep *transportPrep, warmStarted, repaired bool) (*TransportSolution, *TransportBasis, error) {
+// finishTransport turns an optimized tableau into the exported solution:
+// the forbidden-flow feasibility audit, the dual gauge fix, and the
+// objective recomputed from the original costs.
+func finishTransport(t *transportTableau, p TransportProblem, prep *transportPrep) *TransportSolution {
 	m, n := prep.m, prep.n
 	forbidden := func(i, j int) bool { return i != prep.dummy && prep.forb[i*n+j] }
 	for i := 0; i < m; i++ {
@@ -260,33 +178,17 @@ func finishTransport(t *transportTableau, p TransportProblem, prep *transportPre
 		// under the absolute output cutoff, be zeroed, and report a
 		// silently truncated placement as optimal. A zero-supply source is
 		// the opposite case: it cannot legitimately ship anything, so any
-		// flow parked on its lanes is pure re-flow roundoff (the tree
-		// re-flow can strand ~ulp-scale residue there), not infeasibility.
+		// flow parked on its lanes is pure pivot roundoff, not
+		// infeasibility.
 		if p.Supply[i] == 0 {
 			continue
 		}
 		tol := eps * math.Min(1, p.Supply[i])
 		for j := 0; j < n; j++ {
 			if forbidden(i, j) && t.flowAt(i, j) > tol {
-				return &TransportSolution{Status: StatusInfeasible, Iterations: t.iterations, WarmStarted: warmStarted, Repaired: repaired}, nil, nil
+				return &TransportSolution{Status: StatusInfeasible, Iterations: t.iterations}
 			}
 		}
-	}
-	// Snapshot the optimal basis before evictForbidden rewires it: the
-	// warm-start seed must be the tree MODI actually finished on (evicted
-	// degenerate cells carry no flow, so re-seeding through them is
-	// harmless — the tree re-flow puts ~0 units there).
-	basis := &TransportBasis{m: m, n: n, scale: prep.scale, forb: prep.forb,
-		cells: make([]cell, 0, t.nbasic)}
-	for _, cs := range t.rowBasics {
-		basis.cells = append(basis.cells, cs...)
-	}
-	slices.SortFunc(basis.cells, func(a, b cell) int {
-		return cmp.Or(cmp.Compare(a.i, b.i), cmp.Compare(a.j, b.j))
-	})
-	basis.costs = make([]float64, len(basis.cells))
-	for k, c := range basis.cells {
-		basis.costs[k] = t.cost[c.i][c.j]
 	}
 
 	// Degenerate (zero-flow) basic cells on forbidden lanes would inject
@@ -300,13 +202,11 @@ func finishTransport(t *transportTableau, p TransportProblem, prep *transportPre
 	// -v_j is directly sink j's shadow price.
 	shift := u[t.dummy]
 	sol := &TransportSolution{
-		Status:      StatusOptimal,
-		Flow:        make([][]float64, m),
-		Iterations:  t.iterations,
-		DualSupply:  make([]float64, m),
-		DualDemand:  make([]float64, n),
-		WarmStarted: warmStarted,
-		Repaired:    repaired,
+		Status:     StatusOptimal,
+		Flow:       make([][]float64, m),
+		Iterations: t.iterations,
+		DualSupply: make([]float64, m),
+		DualDemand: make([]float64, n),
 	}
 	for i := 0; i < m; i++ {
 		sol.DualSupply[i] = (u[i] - shift) * prep.scale
@@ -330,97 +230,7 @@ func finishTransport(t *transportTableau, p TransportProblem, prep *transportPre
 		}
 	}
 	sol.Objective = obj
-	return sol, basis, nil
-}
-
-// warmStart seeds the basis of a fresh tableau from a prior optimal tree:
-// the cells must form a spanning tree over the balanced problem's rows
-// (including the dummy) and columns, and the unique tree flows for the
-// current supplies/demands must be nonnegative — unless allowNegative is
-// set (the repair path fixes negative re-flows with dual-simplex pivots
-// instead of rejecting them). Returns false — leaving the tableau untouched
-// — when a check fails, so the caller falls back to the cold start.
-func (t *transportTableau) warmStart(cells []cell, allowNegative bool) bool {
-	if len(cells) != t.m+t.n-1 {
-		return false
-	}
-	// Acyclicity via union-find; |cells| = nodes-1 and acyclic together
-	// imply a spanning tree.
-	t.resetForest()
-	for _, c := range cells {
-		if c.i < 0 || c.i >= t.m || c.j < 0 || c.j >= t.n {
-			return false
-		}
-		if !t.union(c.i, t.m+c.j) {
-			return false
-		}
-	}
-
-	// The flows on a spanning tree are uniquely determined by the node
-	// balances: peel leaves, each forcing its single incident cell's flow.
-	// A node's unpeeled tree edges are tracked as a degree plus the XOR of
-	// the neighbours' node ids, so a leaf's last neighbour is read off
-	// directly. The forest array is free again and holds the XORs; the
-	// flows are staged in the (still all-zero) flow matrix.
-	deg, nbr, rem := t.deg, t.parent, t.rem
-	clear(deg)
-	clear(nbr)
-	copy(rem, t.supply)
-	copy(rem[t.m:], t.demand)
-	for _, c := range cells {
-		row, col := c.i, t.m+c.j
-		deg[row]++
-		deg[col]++
-		nbr[row] ^= col
-		nbr[col] ^= row
-	}
-	leaves := t.nodes[:0]
-	for k, d := range deg {
-		if d == 1 {
-			leaves = append(leaves, k)
-		}
-	}
-	for len(leaves) > 0 {
-		k := leaves[len(leaves)-1]
-		leaves = leaves[:len(leaves)-1]
-		if deg[k] == 0 {
-			continue // became isolated when its last cell was peeled
-		}
-		o := nbr[k]
-		c := cell{k, o - t.m}
-		if k >= t.m {
-			c = cell{o, k - t.m}
-		}
-		f := rem[k]
-		t.flow[t.idx(c)] = f
-		rem[k] -= f
-		rem[o] -= f
-		deg[k]--
-		deg[o]--
-		nbr[o] ^= k
-		if deg[o] == 1 {
-			leaves = append(leaves, o)
-		}
-	}
-	t.nodes = leaves[:0]
-	for _, c := range cells {
-		if t.flow[t.idx(c)] < -t.tol && !allowNegative {
-			for _, c := range cells {
-				t.flow[t.idx(c)] = 0
-			}
-			return false // infeasible seed flow
-		}
-	}
-	for _, c := range cells {
-		f := t.flow[t.idx(c)]
-		if f < 0 && f >= -t.tol {
-			f = 0 // roundoff-level negative from the float balance
-		}
-		// Below -tol only under allowNegative: the repair's dual-simplex
-		// pass drives it back to 0.
-		t.addBasic(c, f)
-	}
-	return true
+	return sol
 }
 
 // transportTableau holds the balanced problem and its basis spanning tree.
@@ -450,7 +260,7 @@ type transportTableau struct {
 	seen   []bool    // per node: visited by the current traversal
 	prev   []cell    // per node: tree cell the cycle search reached it by
 	parent []int     // per node: union-find forest
-	deg    []int     // per node: warm-start tree degree, or connect's component size
+	deg    []int     // per node: connect's component size
 	nodes  []int     // traversal stack or queue, capacity m+n
 	path   []cell    // cyclePath's result
 	offers offerHeap // leastCost's per-row offers
@@ -801,22 +611,7 @@ func (t *transportTableau) evictForbidden(forbidden func(i, j int) bool) {
 // basis tree with u = 0 at each component's lowest row. The slices are the
 // tableau's scratch: the next call overwrites them.
 func (t *transportTableau) potentials() (u, v []float64) {
-	t.treePotentials(t.u, t.v, nil)
-	return t.u, t.v
-}
-
-// treePotentials fills u and v from the basis tree, reading each basic
-// cell's cost from the dense row-major costAt when non-nil and from the
-// live cost matrix otherwise. One traversal serves both, so equal costs
-// yield bitwise-equal duals — the property the repair's dirty-set
-// detection relies on.
-func (t *transportTableau) treePotentials(u, v, costAt []float64) {
-	costOf := func(c cell) float64 {
-		if costAt != nil {
-			return costAt[t.idx(c)]
-		}
-		return t.cost[c.i][c.j]
-	}
+	u, v = t.u, t.v
 	seen := t.seen
 	clear(seen)
 	stack := t.nodes[:0]
@@ -834,7 +629,7 @@ func (t *transportTableau) treePotentials(u, v, costAt []float64) {
 				for _, c := range t.rowBasics[k] {
 					if col := t.m + c.j; !seen[col] {
 						seen[col] = true
-						v[c.j] = costOf(c) - u[c.i]
+						v[c.j] = t.cost[c.i][c.j] - u[c.i]
 						stack = append(stack, col)
 					}
 				}
@@ -842,7 +637,7 @@ func (t *transportTableau) treePotentials(u, v, costAt []float64) {
 				for _, c := range t.colBasics[k-t.m] {
 					if !seen[c.i] {
 						seen[c.i] = true
-						u[c.i] = costOf(c) - v[c.j]
+						u[c.i] = t.cost[c.i][c.j] - v[c.j]
 						stack = append(stack, c.i)
 					}
 				}
@@ -850,6 +645,7 @@ func (t *transportTableau) treePotentials(u, v, costAt []float64) {
 		}
 	}
 	t.nodes = stack[:0]
+	return u, v
 }
 
 // cyclePath finds the unique path in the basis tree from row-node i to
