@@ -51,6 +51,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzDownsample$$' -fuzztime $(FUZZTIME) ./internal/tsdb
 	go test -run '^$$' -fuzz '^FuzzProbeRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/probe
 	go test -run '^$$' -fuzz '^FuzzStatReportRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/proto
+	go test -run '^$$' -fuzz '^FuzzFrameStream$$' -fuzztime $(FUZZTIME) ./internal/proto
 
 # The observability and data-plane packages run first: their lock-free
 # counters, pump goroutines, and the instrumented manager/client paths are

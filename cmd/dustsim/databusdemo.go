@@ -119,8 +119,9 @@ func runDatabusDemo(n int, seed int64, metricsAddr string) error {
 	}); err != nil {
 		return err
 	}
-	if ack, err := destEnd.Recv(); err != nil || ack.Type != proto.MsgAck || ack.Error != "" {
-		return fmt.Errorf("destination handshake: %v (%v)", ack, err)
+	var ack proto.Message
+	if err := destEnd.Recv(&ack); err != nil || ack.Type != proto.MsgAck || ack.Error != "" {
+		return fmt.Errorf("destination handshake: %+v (%v)", ack, err)
 	}
 	uplink := databus.NewConnSink("uplink", destEnd, int32(n), cluster.ManagerNode)
 	relayKey := tsdb.Key("dust_agent_points", map[string]string{"origin": "0", "host": "1"})

@@ -89,8 +89,8 @@ func TestFacadeTransportPipe(t *testing.T) {
 	if err := a.Send(&dust.Message{Type: dust.MsgKeepalive, From: 3}); err != nil {
 		t.Fatal(err)
 	}
-	m, err := b.Recv()
-	if err != nil || m.Type != dust.MsgKeepalive {
+	var m dust.Message
+	if err := b.Recv(&m); err != nil || m.Type != dust.MsgKeepalive {
 		t.Fatalf("recv = %+v, %v", m, err)
 	}
 }

@@ -245,7 +245,7 @@ func rawPeer(t *testing.T, mgr *Manager, node int, util, dataMb float64) proto.C
 	}); err != nil {
 		t.Fatal(err)
 	}
-	ack, err := a.Recv()
+	ack, err := recvMsg(a)
 	if err != nil || ack.Type != proto.MsgAck || ack.Error != "" {
 		t.Fatalf("handshake failed: %+v, %v", ack, err)
 	}
@@ -321,7 +321,7 @@ func TestDuplicateOffloadAckRecordedOnce(t *testing.T) {
 		}
 		reports <- report
 	}()
-	req, err := dest.Recv()
+	req, err := recvMsg(dest)
 	if err != nil || req.Type != proto.MsgOffloadRequest {
 		t.Fatalf("offer = %+v, %v", req, err)
 	}
@@ -337,7 +337,7 @@ func TestDuplicateOffloadAckRecordedOnce(t *testing.T) {
 	if len(report.Accepted) != 1 {
 		t.Fatalf("accepted = %+v, want exactly one", report.Accepted)
 	}
-	if redirect, err := busy.Recv(); err != nil || redirect.Type != proto.MsgOffloadRequest {
+	if redirect, err := recvMsg(busy); err != nil || redirect.Type != proto.MsgOffloadRequest {
 		t.Fatalf("redirect = %+v, %v", redirect, err)
 	}
 	ledger := mgr.NMDB().ActiveAssignments()
@@ -512,7 +512,7 @@ func TestHandshakeNackDiagnosable(t *testing.T) {
 	if err := a2.Send(&proto.Message{Type: proto.MsgStat, From: 0}); err != nil {
 		t.Fatal(err)
 	}
-	nack, err := a2.Recv()
+	nack, err := recvMsg(a2)
 	if err != nil || nack.Type != proto.MsgAck || nack.Error == "" {
 		t.Fatalf("nack = %+v, %v; want an ACK carrying an error", nack, err)
 	}

@@ -269,8 +269,8 @@ func (c *Client) Handshake() error {
 	if err != nil {
 		return fmt.Errorf("cluster: send offload-capable: %w", err)
 	}
-	ack, err := conn.Recv()
-	if err != nil {
+	var ack proto.Message
+	if err := conn.Recv(&ack); err != nil {
 		return fmt.Errorf("cluster: await ack: %w", err)
 	}
 	if ack.Type != proto.MsgAck {
@@ -392,8 +392,8 @@ func (c *Client) SyncHosting() error {
 // Step receives and processes exactly one manager message. It returns the
 // processed message (for tests/instrumentation) or the connection error.
 func (c *Client) Step() (*proto.Message, error) {
-	msg, err := c.current().Recv()
-	if err != nil {
+	msg := new(proto.Message)
+	if err := c.current().Recv(msg); err != nil {
 		return nil, err
 	}
 	c.dispatch(msg)

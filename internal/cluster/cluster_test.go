@@ -47,6 +47,15 @@ type testHarness struct {
 	data  map[int]float64
 }
 
+// recvMsg receives the next message into fresh storage.
+func recvMsg(c proto.Conn) (*proto.Message, error) {
+	m := new(proto.Message)
+	if err := c.Recv(m); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
 func lineTopology(n int) *graph.Graph {
 	g := graph.Line(n, 100)
 	for i := 0; i < g.NumEdges(); i++ {

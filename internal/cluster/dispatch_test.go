@@ -385,14 +385,18 @@ type ackDropper struct {
 	acks *atomic.Uint64
 }
 
-func (d ackDropper) Recv() (*proto.Message, error) {
+func (d ackDropper) Recv(msg *proto.Message) error {
 	for {
-		msg, err := d.Conn.Recv()
+		err := d.Conn.Recv(msg)
 		if err != nil || msg.Type != proto.MsgOffloadAck || d.acks.Add(1)%2 == 1 {
-			return msg, err
+			return err
 		}
 	}
 }
+
+// Buffered promises nothing: the buffered frame may be an ACK that Recv
+// drops, after which it would block.
+func (d ackDropper) Buffered() int { return 0 }
 
 // TestDroppedAcksLeaveLedgerExact: every second Offload-ACK is lost and
 // clients never send Host-Sync, so nothing but the round's own rules

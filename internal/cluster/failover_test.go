@@ -100,7 +100,7 @@ func TestReplicationStreamAndManualPromote(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		ack, err := a.Recv()
+		ack, err := recvMsg(a)
 		if err != nil || ack.Type != proto.MsgAck || ack.Error == "" {
 			t.Fatalf("standby handshake = %+v, %v; want NACK", ack, err)
 		}
@@ -159,7 +159,7 @@ func TestReplicationStreamAndManualPromote(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		ack, err := a.Recv()
+		ack, err := recvMsg(a)
 		if err != nil || ack.Type != proto.MsgAck || ack.Error != "" {
 			t.Fatalf("post-promotion handshake = %+v, %v; want ACK", ack, err)
 		}

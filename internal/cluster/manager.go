@@ -471,12 +471,12 @@ func (m *Manager) Attach(conn proto.Conn) (int, error) {
 		m.wg.Done()
 	}()
 
-	first, err := conn.Recv()
-	if err != nil {
+	var first proto.Message
+	if err := conn.Recv(&first); err != nil {
 		return 0, fmt.Errorf("cluster: handshake recv: %w", err)
 	}
 	if first.Type == proto.MsgReplHello {
-		return m.attachReplica(conn, first)
+		return m.attachReplica(conn, first.From)
 	}
 	if first.Type != proto.MsgOffloadCapable {
 		reason := fmt.Sprintf("handshake requires offload-capable, got %v", first.Type)
@@ -548,9 +548,9 @@ func (m *Manager) nack(conn proto.Conn, to int32, reason string) {
 // state version moved since the last ship and a bare heartbeat otherwise,
 // so an idle cluster costs two small frames per interval. Returns
 // StandbyNode as the attached identity.
-func (m *Manager) attachReplica(conn proto.Conn, hello *proto.Message) (int, error) {
+func (m *Manager) attachReplica(conn proto.Conn, from int32) (int, error) {
 	ack := &proto.Message{
-		Type: proto.MsgAck, From: ManagerNode, To: hello.From, Seq: m.nextSeq(),
+		Type: proto.MsgAck, From: ManagerNode, To: from, Seq: m.nextSeq(),
 	}
 	if err := conn.Send(ack); err != nil {
 		return 0, fmt.Errorf("cluster: replica hello ack: %w", err)
@@ -624,9 +624,9 @@ func (m *Manager) serveReplica(r *replica) {
 // readReplicaAcks tracks the standby's applied-epoch acknowledgements
 // (feeding the replication lag gauge) until the connection closes.
 func (m *Manager) readReplicaAcks(r *replica) {
+	var msg proto.Message
 	for {
-		msg, err := r.conn.Recv()
-		if err != nil {
+		if err := r.conn.Recv(&msg); err != nil {
 			m.dropReplica(r)
 			return
 		}
@@ -724,8 +724,8 @@ func (m *Manager) connFor(node int) (proto.Conn, bool) {
 	return c, ok
 }
 
-// statBatchMax bounds how many queued STAT reports a single RecordStats
-// call applies (also the recv pump's channel depth).
+// statBatchMax bounds how many buffered STAT reports a single RecordStats
+// call applies.
 const statBatchMax = 64
 
 // seqTracker infers lost frames from the per-sender sequence numbers on
@@ -782,11 +782,16 @@ func (m *Manager) accountFrame(node int, st *seqTracker, msg *proto.Message) {
 }
 
 // serveConn dispatches a client's messages until its connection closes.
-// A pump goroutine decouples the wire reads from dispatch so runs of
-// queued STAT reports can be coalesced into one batched NMDB ingest
-// (RecordStats takes each touched shard lock once per batch instead of
-// once per report). Ordering within the connection is preserved: a batch
-// is flushed before any non-STAT message is handled.
+// One goroutine reads and dispatches, decoding every frame into the same
+// Message. Consecutive in-band STAT reports are coalesced into one batched
+// NMDB ingest (RecordStats takes each touched shard lock once per batch
+// instead of once per report): a batch is the run of STATs the connection
+// already holds at one wake-up, flushed once no further frame is buffered
+// or it reaches statBatchMax. Ordering within the connection is preserved:
+// a batch is flushed before any other message is handled, and every
+// message is handled in stream order with no queue in between — so a
+// handle() that blocks (a probe relay under its write deadline) stalls
+// this session's reads rather than piling frames up behind it.
 //
 // An abrupt disconnect of a node that is still attached (not superseded by
 // a reconnect, not part of manager shutdown) is treated as an immediate
@@ -794,55 +799,33 @@ func (m *Manager) accountFrame(node int, st *seqTracker, msg *proto.Message) {
 // hosted workloads re-placed on replicas without waiting for the
 // keepalive timeout.
 func (m *Manager) serveConn(node int, conn proto.Conn) {
-	msgs := make(chan *proto.Message, statBatchMax)
-	go func() {
-		for {
-			msg, err := conn.Recv()
-			if err != nil {
-				close(msgs)
-				return
-			}
-			msgs <- msg
-		}
-	}()
-	var batch []Stat
-	var seqs seqTracker
+	var (
+		msg   proto.Message
+		batch []Stat
+		seqs  seqTracker
+	)
 	for {
-		msg, ok := <-msgs
-		if !ok {
+		if err := conn.Recv(&msg); err != nil {
+			m.flushStats(&batch)
 			m.connLost(node, conn)
 			return
 		}
-		m.accountFrame(node, &seqs, msg)
-		// Heartbeat STATs fall through to handle(): they must not enter the
-		// value batch (RecordStats would adopt their re-affirmed values as a
+		m.accountFrame(node, &seqs, &msg)
+		// Heartbeat STATs go to handle(): they must not enter the value
+		// batch (RecordStats would adopt their re-affirmed values as a
 		// fresh sample and bump the shard seq).
-		for msg != nil && msg.Type == proto.MsgStat && !msg.StatHeartbeat {
+		if msg.Type == proto.MsgStat && !msg.StatHeartbeat {
 			batch = append(batch, Stat{
 				Node: node, UtilPct: msg.UtilPct, DataMb: msg.DataMb,
 				NumAgents: int(msg.NumAgents), At: m.cfg.Now(),
 			})
-			if len(batch) >= statBatchMax {
-				msg = nil
-				break
+			if len(batch) >= statBatchMax || conn.Buffered() == 0 {
+				m.flushStats(&batch)
 			}
-			select {
-			case nxt, more := <-msgs:
-				if !more {
-					m.flushStats(&batch)
-					m.connLost(node, conn)
-					return
-				}
-				msg = nxt
-				m.accountFrame(node, &seqs, msg)
-			default:
-				msg = nil
-			}
+			continue
 		}
 		m.flushStats(&batch)
-		if msg != nil {
-			m.handle(node, msg)
-		}
+		m.handle(node, &msg)
 	}
 }
 
@@ -898,6 +881,9 @@ func (m *Manager) failPending(node int) {
 	}
 }
 
+// handle dispatches one non-batched message. msg is serveConn's reused
+// receive buffer: handle must not keep msg itself past its return (its
+// slices are freshly allocated per frame and may be kept).
 func (m *Manager) handle(node int, msg *proto.Message) {
 	now := m.cfg.Now()
 	switch msg.Type {

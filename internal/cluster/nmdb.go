@@ -328,7 +328,7 @@ func (db *NMDB) RecordStats(stats []Stat) error {
 	if len(stats) == 0 {
 		return nil
 	}
-	// serveConn coalesces runs of queued reports from one connection, so
+	// serveConn coalesces runs of buffered reports from one connection, so
 	// the common batch holds a single node. Each STAT fully overwrites the
 	// previous one's fields, so only the newest report needs to touch the
 	// record at all.

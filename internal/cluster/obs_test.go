@@ -197,7 +197,7 @@ func TestOfferDeadlineUsesInjectedClock(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := end.Recv(); err != nil {
+		if _, err := recvMsg(end); err != nil {
 			t.Fatal(err)
 		}
 		if err := <-done; err != nil {

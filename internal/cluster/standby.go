@@ -222,8 +222,8 @@ func (s *Standby) feed(ctx context.Context, conn proto.Conn) (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("cluster: standby hello: %w", err)
 	}
-	ack, err := conn.Recv()
-	if err != nil {
+	var ack proto.Message
+	if err := conn.Recv(&ack); err != nil {
 		return false, fmt.Errorf("cluster: standby await hello ack: %w", err)
 	}
 	if ack.Type != proto.MsgAck {
@@ -233,9 +233,9 @@ func (s *Standby) feed(ctx context.Context, conn proto.Conn) (bool, error) {
 		return false, fmt.Errorf("cluster: standby rejected: %s", ack.Error)
 	}
 	s.touch()
+	var msg proto.Message
 	for {
-		msg, err := conn.Recv()
-		if err != nil {
+		if err := conn.Recv(&msg); err != nil {
 			return true, err
 		}
 		if msg.Type != proto.MsgReplSnapshot {

@@ -84,7 +84,7 @@ func TestManagerRepublishesTelemetryBatches(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if ack, err := destEnd.Recv(); err != nil || ack.Type != proto.MsgAck {
+	if ack, err := recvMsg(destEnd); err != nil || ack.Type != proto.MsgAck {
 		t.Fatalf("handshake ack = %+v err=%v", ack, err)
 	}
 	if err := <-attached; err != nil {

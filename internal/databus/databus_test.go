@@ -244,8 +244,8 @@ func TestConnSinkDeliversTelemetryBatches(t *testing.T) {
 	if err := sink.WriteBatch([]Sample{{Key: k, T: 10, V: 0.25}, {Key: k, T: 11, V: 0.5}}); err != nil {
 		t.Fatal(err)
 	}
-	m, err := remote.Recv()
-	if err != nil {
+	var m proto.Message
+	if err := remote.Recv(&m); err != nil {
 		t.Fatal(err)
 	}
 	if m.Type != proto.MsgTelemetryBatch || m.From != 7 || m.Seq != 1 {

@@ -15,8 +15,9 @@ type IngestPoint struct {
 	// Config names the registry layout ("shards=1", "shards=8", ...).
 	Config string
 	// Shape names the call pattern: per-stat RecordStat calls, the
-	// manager's single-node RecordStats batches (what serveConn's
-	// coalescing pump actually produces), or mixed multi-node batches.
+	// manager's single-node RecordStats batches (what serveConn produces
+	// from each connection's buffered STAT runs), or mixed multi-node
+	// batches.
 	Shape string
 	// NsPerStat is the mean apply cost of one report.
 	NsPerStat float64
@@ -92,9 +93,9 @@ func RunIngestScaling(cfg Config) (*IngestResult, error) {
 		return nil, err
 	}
 
-	// The manager's real ingest shape: serveConn coalesces each
-	// connection's queued reports into one RecordStats batch, so every
-	// batch is single-node.
+	// The manager's real ingest shape: serveConn coalesces the STATs a
+	// connection has buffered at one wake-up (at most 64) into one
+	// RecordStats batch, so every batch is single-node.
 	db, err := newDB(shards)
 	if err != nil {
 		return nil, err

@@ -101,8 +101,9 @@ func (c *probeFaultConn) Send(m *proto.Message) error {
 	}
 	return c.inner.Send(m)
 }
-func (c *probeFaultConn) Recv() (*proto.Message, error) { return c.inner.Recv() }
-func (c *probeFaultConn) Close() error                  { return c.inner.Close() }
+func (c *probeFaultConn) Recv(m *proto.Message) error { return c.inner.Recv(m) }
+func (c *probeFaultConn) Buffered() int               { return c.inner.Buffered() }
+func (c *probeFaultConn) Close() error                { return c.inner.Close() }
 
 // RunMeasuredDrift drives the measured-latency control loop end to end
 // over the real Manager/Client protocol under a virtual clock. The

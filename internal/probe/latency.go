@@ -41,5 +41,6 @@ func (c *LatencyConn) Send(m *proto.Message) error {
 	return c.inner.Send(m)
 }
 
-func (c *LatencyConn) Recv() (*proto.Message, error) { return c.inner.Recv() }
-func (c *LatencyConn) Close() error                  { return c.inner.Close() }
+func (c *LatencyConn) Recv(m *proto.Message) error { return c.inner.Recv(m) }
+func (c *LatencyConn) Buffered() int               { return c.inner.Buffered() }
+func (c *LatencyConn) Close() error                { return c.inner.Close() }

@@ -12,6 +12,15 @@ import (
 // with a latency-modelling wrapper on both legs and checks the measured
 // RTT equals the modelled path latency exactly (the virtual clock never
 // advances, so wall-clock deltas are zero and PathNs carries everything).
+// recvMsg receives the next message into fresh storage.
+func recvMsg(c proto.Conn) (*proto.Message, error) {
+	m := new(proto.Message)
+	if err := c.Recv(m); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
 func TestPingerRoundTrip(t *testing.T) {
 	now := t0
 	oneWay := 3 * time.Millisecond
@@ -29,14 +38,14 @@ func TestPingerRoundTrip(t *testing.T) {
 	if err := la.Send(frames[0]); err != nil {
 		t.Fatal(err)
 	}
-	got, err := lb.Recv()
+	got, err := recvMsg(lb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := lb.Send(refl.Reflect(got, now)); err != nil {
 		t.Fatal(err)
 	}
-	reply, err := la.Recv()
+	reply, err := recvMsg(la)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +185,7 @@ func TestLatencyConnLeavesControlPlaneAlone(t *testing.T) {
 	if err := la.Send(stat); err != nil {
 		t.Fatal(err)
 	}
-	got, err := b.Recv()
+	got, err := recvMsg(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +196,7 @@ func TestLatencyConnLeavesControlPlaneAlone(t *testing.T) {
 	if err := la.Send(probe); err != nil {
 		t.Fatal(err)
 	}
-	got, err = b.Recv()
+	got, err = recvMsg(b)
 	if err != nil {
 		t.Fatal(err)
 	}

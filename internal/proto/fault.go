@@ -153,7 +153,9 @@ func (c *FaultConn) afterDelivery() {
 	}
 }
 
-func (c *FaultConn) Recv() (*Message, error) { return c.inner.Recv() }
+func (c *FaultConn) Recv(m *Message) error { return c.inner.Recv(m) }
+
+func (c *FaultConn) Buffered() int { return c.inner.Buffered() }
 
 func (c *FaultConn) Close() error { return c.inner.Close() }
 

@@ -1,7 +1,10 @@
 package proto
 
 import (
+	"bytes"
 	"errors"
+	"net"
+	"os"
 	"testing"
 	"time"
 )
@@ -15,7 +18,7 @@ func drainN(t *testing.T, c Conn, n int, within time.Duration) []*Message {
 	go func() {
 		defer close(done)
 		for {
-			m, err := c.Recv()
+			m, err := recvMsg(c)
 			if err != nil {
 				return
 			}
@@ -125,7 +128,7 @@ func TestFaultConnPartitionOneWay(t *testing.T) {
 	if err := b.Send(&Message{Type: MsgAck, Seq: 2}); err != nil {
 		t.Fatal(err)
 	}
-	m, err := a.Recv()
+	m, err := recvMsg(a)
 	if err != nil || m.Seq != 2 {
 		t.Fatalf("reverse direction broken: %+v, %v", m, err)
 	}
@@ -133,7 +136,7 @@ func TestFaultConnPartitionOneWay(t *testing.T) {
 	if err := a.Send(&Message{Type: MsgStat, Seq: 3}); err != nil {
 		t.Fatal(err)
 	}
-	m, err = b.Recv()
+	m, err = recvMsg(b)
 	if err != nil || m.Seq != 3 {
 		t.Fatalf("post-partition message lost: %+v, %v", m, err)
 	}
@@ -152,13 +155,13 @@ func TestFaultConnForcedDisconnect(t *testing.T) {
 	}
 	// The second delivery tripped the forced disconnect; the peer drains
 	// what was queued and then sees the close.
-	if _, err := b.Recv(); err != nil {
+	if _, err := recvMsg(b); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Recv(); err != nil {
+	if _, err := recvMsg(b); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Recv(); !errors.Is(err, ErrClosed) {
+	if _, err := recvMsg(b); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed after forced disconnect", err)
 	}
 	if err := a.Send(&Message{Type: MsgStat, Seq: 3}); !errors.Is(err, ErrClosed) {
@@ -179,7 +182,7 @@ func TestFaultConnHeal(t *testing.T) {
 	if err := a.Send(&Message{Type: MsgStat, Seq: 2}); err != nil {
 		t.Fatal(err)
 	}
-	m, err := b.Recv()
+	m, err := recvMsg(b)
 	if err != nil || m.Seq != 2 {
 		t.Fatalf("healed connection dropped: %+v, %v", m, err)
 	}
@@ -188,6 +191,9 @@ func TestFaultConnHeal(t *testing.T) {
 	}
 }
 
+// TestTCPDeadlineCutsSilentPeer: a read deadline cuts a peer that sends
+// nothing, and one that stalls halfway through a frame — the half already
+// sitting in the connection's read buffer must not satisfy the read.
 func TestTCPDeadlineCutsSilentPeer(t *testing.T) {
 	l, err := Listen("127.0.0.1:0")
 	if err != nil {
@@ -195,26 +201,54 @@ func TestTCPDeadlineCutsSilentPeer(t *testing.T) {
 	}
 	defer l.Close()
 	l.SetDeadlines(ConnDeadlines{Read: 50 * time.Millisecond})
-	accepted := make(chan Conn, 1)
-	go func() {
-		c, err := l.Accept()
-		if err == nil {
-			accepted <- c
+	// accept dials l with a raw socket, so the test controls every byte
+	// the server side sees.
+	accept := func(t *testing.T) (net.Conn, Conn) {
+		t.Helper()
+		accepted := make(chan Conn, 1)
+		go func() {
+			c, err := l.Accept()
+			if err == nil {
+				accepted <- c
+			}
+		}()
+		nc, err := net.Dial("tcp", l.Addr())
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	// The client connects and then stays silent past the read deadline.
-	c, err := Dial(l.Addr())
-	if err != nil {
-		t.Fatal(err)
+		t.Cleanup(func() { nc.Close() })
+		srv := <-accepted
+		t.Cleanup(func() { srv.Close() })
+		return nc, srv
 	}
-	defer c.Close()
-	srv := <-accepted
-	defer srv.Close()
-	start := time.Now()
-	if _, err := srv.Recv(); err == nil {
-		t.Fatal("Recv from silent peer should hit the read deadline")
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("deadline took %v, want ~50ms", elapsed)
-	}
+
+	t.Run("silent", func(t *testing.T) {
+		_, srv := accept(t)
+		var m Message
+		if err := srv.Recv(&m); !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("Recv from silent peer = %v, want the read deadline", err)
+		}
+	})
+
+	t.Run("half-frame", func(t *testing.T) {
+		nc, srv := accept(t)
+		var frame bytes.Buffer
+		if err := WriteFrame(&frame, sampleMessage()); err != nil {
+			t.Fatal(err)
+		}
+		half := frame.Bytes()[:frame.Len()/2]
+		if _, err := nc.Write(half); err != nil {
+			t.Fatal(err)
+		}
+		var m Message
+		if err := srv.Recv(&m); !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("Recv of half a frame = %v, want the read deadline", err)
+		}
+		if got := srv.(*tcpConn).br.Buffered(); got != len(half) {
+			t.Fatalf("%d bytes buffered when the deadline fired, want the %d-byte half frame", got, len(half))
+		}
+		if srv.Buffered() != 0 {
+			t.Fatal("half a frame reported as a buffered message")
+		}
+	})
 }

@@ -1,8 +1,12 @@
 package proto
 
 import (
+	"bufio"
 	"bytes"
+	"io"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -83,8 +87,8 @@ func FuzzProtoRoundTrip(f *testing.F) {
 		if err := WriteFrame(&buf, m); err != nil {
 			return // over the frame size cap: legal refusal
 		}
-		framed, err := ReadFrame(&buf)
-		if err != nil {
+		framed := new(Message)
+		if err := ReadFrame(bufio.NewReaderSize(&buf, readBufSize), framed); err != nil {
 			t.Fatalf("read of a freshly written frame failed: %v", err)
 		}
 		if !bytes.Equal(Encode(framed), wire) {
@@ -136,8 +140,8 @@ func FuzzStatReportRoundTrip(f *testing.F) {
 		if err := WriteFrame(&buf, m); err != nil {
 			t.Fatalf("write frame failed: %v", err)
 		}
-		framed, err := ReadFrame(&buf)
-		if err != nil {
+		framed := new(Message)
+		if err := ReadFrame(bufio.NewReaderSize(&buf, readBufSize), framed); err != nil {
 			t.Fatalf("read of a freshly written frame failed: %v", err)
 		}
 		if !bytes.Equal(Encode(framed), wire) {
@@ -156,6 +160,93 @@ func FuzzReadFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Must not panic or over-allocate regardless of input.
-		_, _ = ReadFrame(bytes.NewReader(data))
+		br := bufio.NewReaderSize(bytes.NewReader(data), readBufSize)
+		var m Message
+		for {
+			if err := ReadFrame(br, &m); err != nil {
+				return
+			}
+		}
+	})
+}
+
+// chunkReader hands out data in the chunk sizes a fuzz input chose,
+// cycling through them, and counts the reads it served.
+type chunkReader struct {
+	data  []byte
+	sizes []int
+	reads int
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	n := min(r.sizes[r.reads%len(r.sizes)], len(p), len(r.data))
+	r.reads++
+	copy(p, r.data[:n])
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// FuzzFrameStream drives the connection read path end to end: a random run
+// of messages (randomMessage, some larger than the read buffer) framed
+// back to back and delivered in chunks of 1 byte up to more than the
+// buffer, read through one buffered reader into one reused Message. Every
+// read must equal a fresh Decode of that frame's bytes, so no field
+// carries over from the previous message (a STAT after a ProbeReport has
+// nil ProbeSamples); it must leave the slices the previous read returned
+// untouched; and a frame frameBuffered promised must be served without
+// another read.
+func FuzzFrameStream(f *testing.F) {
+	f.Add(int64(1), uint8(8), []byte{0})
+	f.Add(int64(2), uint8(24), []byte{255, 3, 0, 40})
+	f.Add(int64(3), uint8(5), []byte{170})
+
+	f.Fuzz(func(t *testing.T, seed int64, count uint8, chunks []byte) {
+		rng := rand.New(rand.NewSource(seed))
+		var stream bytes.Buffer
+		want := make([]*Message, 1+int(count)%32)
+		for i := range want {
+			m := randomMessage(rng)
+			if err := WriteFrame(&stream, m); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			if want[i], err = Decode(Encode(m)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Chunk sizes span 1 byte to 1.5x the read buffer.
+		sizes := []int{readBufSize + readBufSize/2}
+		if len(chunks) > 0 {
+			sizes = sizes[:0]
+			for _, c := range chunks {
+				sizes = append(sizes, 1+int(c)*(readBufSize+readBufSize/2)/255)
+			}
+		}
+		cr := &chunkReader{data: stream.Bytes(), sizes: sizes}
+		br := bufio.NewReaderSize(cr, readBufSize)
+
+		var m, prev Message
+		for i, w := range want {
+			buffered, reads := frameBuffered(br), cr.reads
+			if err := ReadFrame(br, &m); err != nil {
+				t.Fatalf("frame %d: %v", i, err)
+			}
+			if buffered && cr.reads != reads {
+				t.Fatalf("frame %d was reported buffered but needed %d reads", i, cr.reads-reads)
+			}
+			if !reflect.DeepEqual(w, &m) {
+				t.Fatalf("frame %d:\n got %+v\nwant %+v", i, m, *w)
+			}
+			if i > 0 && !reflect.DeepEqual(want[i-1], &prev) {
+				t.Fatalf("reading frame %d changed frame %d's fields", i, i-1)
+			}
+			prev = m
+		}
+		if err := ReadFrame(br, &m); err != io.EOF {
+			t.Fatalf("read past the last frame = %v, want io.EOF", err)
+		}
 	})
 }

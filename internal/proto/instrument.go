@@ -61,12 +61,12 @@ func (c *measuredConn) Send(m *Message) error {
 	return err
 }
 
-func (c *measuredConn) Recv() (*Message, error) {
-	m, err := c.Conn.Recv()
+func (c *measuredConn) Recv(m *Message) error {
+	err := c.Conn.Recv(m)
 	if err != nil {
 		c.cm.recvErrs.Inc()
 	} else if m.Type >= MsgOffloadCapable && m.Type <= msgTypeMax {
 		c.cm.recv[m.Type].Inc()
 	}
-	return m, err
+	return err
 }

@@ -25,7 +25,7 @@ func TestConnMetricsCountsByType(t *testing.T) {
 	if err := b.Send(&Message{Type: MsgAck, From: -1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Recv(); err != nil {
+	if _, err := recvMsg(a); err != nil {
 		t.Fatal(err)
 	}
 
@@ -55,7 +55,7 @@ func TestConnMetricsCountsErrors(t *testing.T) {
 	if err := wrapped.Send(&Message{Type: MsgStat}); err == nil {
 		t.Fatal("send on closed conn should fail")
 	}
-	if _, err := wrapped.Recv(); err == nil {
+	if _, err := recvMsg(wrapped); err == nil {
 		t.Fatal("recv on closed conn should fail")
 	}
 	if got := reg.Counter("dust_proto_send_errors_total", "", "role", "client").Value(); got != 1 {

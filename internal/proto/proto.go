@@ -8,6 +8,7 @@
 package proto
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -203,10 +204,11 @@ const maxMessageSize = 1 << 20
 // ErrFrameTooLarge reports a frame exceeding maxMessageSize.
 var ErrFrameTooLarge = errors.New("proto: frame exceeds size limit")
 
-// bufPool recycles frame scratch buffers across WriteFrame/ReadFrame
-// calls. Both directions fully consume the buffer before returning
-// (WriteFrame writes it out, Decode copies every variable-length field),
-// so no caller-visible data aliases a pooled buffer.
+// bufPool recycles frame scratch buffers across WriteFrame calls and the
+// ReadFrame calls whose frame outgrows the reader's buffer. Both
+// directions fully consume the buffer before returning (WriteFrame writes
+// it out, DecodeInto copies every variable-length field), so no
+// caller-visible data aliases a pooled buffer.
 var bufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 256)
@@ -284,10 +286,26 @@ func AppendEncode(b []byte, m *Message) []byte {
 	return b
 }
 
-// Decode parses the binary wire form produced by Encode.
+// Decode parses the binary wire form produced by Encode into a fresh
+// Message.
 func Decode(data []byte) (*Message, error) {
-	d := &decoder{buf: data}
-	m := &Message{}
+	m := new(Message)
+	if err := DecodeInto(m, data); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// DecodeInto parses the binary wire form produced by Encode into
+// caller-owned storage. m is zeroed first, so no field of a previous
+// message survives; the variable-length fields (Agents, RouteNodes, Error,
+// Blob, ProbeSamples) are freshly allocated and never alias data or an
+// earlier message's slices, so a caller may keep them after reusing m. A
+// frame without variable-length fields (every STAT) decodes without
+// allocating. On error m holds a partial decode and must not be used.
+func DecodeInto(m *Message, data []byte) error {
+	*m = Message{}
+	d := decoder{buf: data}
 	m.Type = MsgType(d.byte())
 	m.From = d.int32()
 	m.To = d.int32()
@@ -304,7 +322,10 @@ func Decode(data []byte) (*Message, error) {
 	m.Accept = d.bool()
 	nAgents := d.uint32()
 	if d.err == nil && nAgents > maxMessageSize {
-		return nil, fmt.Errorf("proto: agent count %d implausible", nAgents)
+		return fmt.Errorf("proto: agent count %d implausible", nAgents)
+	}
+	if nAgents > 0 && d.holds(nAgents, 4) {
+		m.Agents = make([]string, 0, nAgents)
 	}
 	for i := uint32(0); i < nAgents && d.err == nil; i++ {
 		ln := d.uint32()
@@ -312,7 +333,10 @@ func Decode(data []byte) (*Message, error) {
 	}
 	nRoute := d.uint32()
 	if d.err == nil && nRoute > maxMessageSize {
-		return nil, fmt.Errorf("proto: route length %d implausible", nRoute)
+		return fmt.Errorf("proto: route length %d implausible", nRoute)
+	}
+	if nRoute > 0 && d.holds(nRoute, 4) {
+		m.RouteNodes = make([]int32, 0, nRoute)
 	}
 	for i := uint32(0); i < nRoute && d.err == nil; i++ {
 		m.RouteNodes = append(m.RouteNodes, d.int32())
@@ -320,15 +344,15 @@ func Decode(data []byte) (*Message, error) {
 	m.FailedNode = d.int32()
 	nErr := d.uint32()
 	if d.err == nil && nErr > maxMessageSize {
-		return nil, fmt.Errorf("proto: error length %d implausible", nErr)
+		return fmt.Errorf("proto: error length %d implausible", nErr)
 	}
 	m.Error = string(d.bytes(int(nErr)))
 	nBlob := d.uint32()
 	if d.err == nil && nBlob > maxMessageSize {
-		return nil, fmt.Errorf("proto: blob length %d implausible", nBlob)
+		return fmt.Errorf("proto: blob length %d implausible", nBlob)
 	}
 	if nBlob > 0 {
-		// Copy: the source buffer is pooled (ReadFrame) or caller-owned.
+		// Copy: the source is a reader buffer (ReadFrame) or caller-owned.
 		m.Blob = append([]byte(nil), d.bytes(int(nBlob))...)
 	}
 	m.ProbeSeq = d.uint64()
@@ -338,7 +362,10 @@ func Decode(data []byte) (*Message, error) {
 	m.PathNs = int64(d.uint64())
 	nSamples := d.uint32()
 	if d.err == nil && nSamples > maxMessageSize {
-		return nil, fmt.Errorf("proto: probe sample count %d implausible", nSamples)
+		return fmt.Errorf("proto: probe sample count %d implausible", nSamples)
+	}
+	if nSamples > 0 && d.holds(nSamples, 20) {
+		m.ProbeSamples = make([]ProbeSample, 0, nSamples)
 	}
 	for i := uint32(0); i < nSamples && d.err == nil; i++ {
 		m.ProbeSamples = append(m.ProbeSamples, ProbeSample{
@@ -350,15 +377,15 @@ func Decode(data []byte) (*Message, error) {
 	m.StatHeartbeat = d.bool()
 	m.StatSuppressed = d.uint32()
 	if d.err != nil {
-		return nil, d.err
+		return d.err
 	}
 	if len(d.buf) != d.off {
-		return nil, fmt.Errorf("proto: %d trailing bytes", len(d.buf)-d.off)
+		return fmt.Errorf("proto: %d trailing bytes", len(d.buf)-d.off)
 	}
 	if m.Type < MsgOffloadCapable || m.Type > msgTypeMax {
-		return nil, fmt.Errorf("proto: unknown message type %d", m.Type)
+		return fmt.Errorf("proto: unknown message type %d", m.Type)
 	}
-	return m, nil
+	return nil
 }
 
 // WriteFrame writes m with a 4-byte big-endian length prefix. The header
@@ -378,24 +405,62 @@ func WriteFrame(w io.Writer, m *Message) error {
 	return err
 }
 
-// ReadFrame reads one length-prefixed message. The payload lands in a
-// pooled buffer; Decode copies every variable-length field, so the
-// returned message owns all its memory.
-func ReadFrame(r io.Reader) (*Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+// readBufSize is the per-connection read buffer of a framed stream: room
+// for 27 framed STATs (148 B each), so one read(2) usually brings in every
+// frame the peer has written since the last wake-up. Frames larger than the
+// buffer (replication snapshots) still work; they bypass it.
+const readBufSize = 4 << 10
+
+// ReadFrame reads one length-prefixed message from br into m (see
+// DecodeInto). A frame that fits in br's buffer is decoded in place,
+// without copying it out; a larger one is read through a pooled scratch
+// buffer. A stream that ends cleanly between frames returns io.EOF, one
+// that ends inside a frame io.ErrUnexpectedEOF.
+func ReadFrame(br *bufio.Reader, m *Message) error {
+	hdr, err := br.Peek(4)
+	if err != nil {
+		return midFrame(err, len(hdr) > 0)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr))
 	if n > maxMessageSize {
-		return nil, ErrFrameTooLarge
+		return ErrFrameTooLarge
 	}
-	bp := getBuf(int(n))
+	if 4+n <= br.Size() {
+		frame, err := br.Peek(4 + n)
+		if err != nil {
+			return midFrame(err, true)
+		}
+		err = DecodeInto(m, frame[4:])
+		_, _ = br.Discard(4 + n)
+		return err
+	}
+	_, _ = br.Discard(4)
+	bp := getBuf(n)
 	defer putBuf(bp)
-	if _, err := io.ReadFull(r, *bp); err != nil {
-		return nil, err
+	if _, err := io.ReadFull(br, *bp); err != nil {
+		return midFrame(err, true)
 	}
-	return Decode(*bp)
+	return DecodeInto(m, *bp)
+}
+
+// midFrame maps a clean end of stream to io.ErrUnexpectedEOF when part of
+// a frame was already read.
+func midFrame(err error, partial bool) error {
+	if partial && err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// frameBuffered reports whether br already holds a whole frame, so the
+// next ReadFrame is served without touching the underlying reader.
+func frameBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < 4 {
+		return false
+	}
+	hdr, _ := br.Peek(4)
+	return 4+int(binary.BigEndian.Uint32(hdr)) <= n
 }
 
 func appendInt32(b []byte, v int32) []byte {
@@ -432,6 +497,13 @@ func (d *decoder) bytes(n int) []byte {
 	out := d.buf[d.off : d.off+n]
 	d.off += n
 	return out
+}
+
+// holds reports whether the rest of the frame has room for n elements of
+// at least size bytes each: a count read off the wire may size an
+// allocation only when the frame can back it.
+func (d *decoder) holds(n uint32, size int) bool {
+	return d.err == nil && uint64(n)*uint64(size) <= uint64(len(d.buf)-d.off)
 }
 
 func (d *decoder) byte() byte {

@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -14,9 +15,16 @@ type Conn interface {
 	// Send delivers m to the peer; it blocks until accepted or the
 	// connection closes.
 	Send(m *Message) error
-	// Recv returns the next message from the peer, blocking until one
-	// arrives or the connection closes (io.EOF-like error).
-	Recv() (*Message, error)
+	// Recv overwrites m with the next message from the peer, blocking
+	// until one arrives or the connection closes (io.EOF-like error).
+	// No field of the message m held before survives, and Recv never
+	// writes into the slices a previous message left in m, so a caller may
+	// keep those slices while reusing m.
+	Recv(m *Message) error
+	// Buffered is a lower bound on how many messages Recv can return
+	// without blocking; zero means the next Recv may wait on the peer.
+	// Only the receiving goroutine may call it.
+	Buffered() int
 	// Close tears the connection down; pending and future Send/Recv fail.
 	Close() error
 }
@@ -58,20 +66,24 @@ func (c *chanConn) Send(m *Message) error {
 	}
 }
 
-func (c *chanConn) Recv() (*Message, error) {
+func (c *chanConn) Recv(m *Message) error {
 	select {
-	case m := <-c.in:
-		return m, nil
+	case src := <-c.in:
+		*m = *src
+		return nil
 	case <-c.closed:
 		// Drain anything already queued before reporting closure.
 		select {
-		case m := <-c.in:
-			return m, nil
+		case src := <-c.in:
+			*m = *src
+			return nil
 		default:
-			return nil, ErrClosed
+			return ErrClosed
 		}
 	}
 }
+
+func (c *chanConn) Buffered() int { return len(c.in) }
 
 func (c *chanConn) Close() error {
 	c.closeOnce.Do(func() { close(c.closed) })
@@ -87,9 +99,12 @@ type ConnDeadlines struct {
 	Read, Write time.Duration
 }
 
-// tcpConn frames messages over a net.Conn.
+// tcpConn frames messages over a net.Conn. Reads go through one buffer
+// per connection, so a burst of small frames costs one read(2), not two
+// per frame.
 type tcpConn struct {
 	nc     net.Conn
+	br     *bufio.Reader
 	dl     ConnDeadlines
 	sendMu sync.Mutex
 	recvMu sync.Mutex
@@ -104,7 +119,7 @@ func NewNetConn(nc net.Conn) Conn {
 // NewNetConnDeadlines is NewNetConn with per-operation read/write
 // deadlines applied to every Recv/Send.
 func NewNetConnDeadlines(nc net.Conn, dl ConnDeadlines) Conn {
-	return &tcpConn{nc: nc, dl: dl}
+	return &tcpConn{nc: nc, br: bufio.NewReaderSize(nc, readBufSize), dl: dl}
 }
 
 func (c *tcpConn) Send(m *Message) error {
@@ -118,15 +133,22 @@ func (c *tcpConn) Send(m *Message) error {
 	return WriteFrame(c.nc, m)
 }
 
-func (c *tcpConn) Recv() (*Message, error) {
+func (c *tcpConn) Recv(m *Message) error {
 	c.recvMu.Lock()
 	defer c.recvMu.Unlock()
 	if c.dl.Read > 0 {
 		if err := c.nc.SetReadDeadline(time.Now().Add(c.dl.Read)); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return ReadFrame(c.nc)
+	return ReadFrame(c.br, m)
+}
+
+func (c *tcpConn) Buffered() int {
+	if frameBuffered(c.br) {
+		return 1
+	}
+	return 0
 }
 
 func (c *tcpConn) Close() error { return c.nc.Close() }
