@@ -757,6 +757,98 @@ func TestPlacementTimedOutWhenDestinationDisconnected(t *testing.T) {
 	}
 }
 
+// A destination that disconnects is substituted on its session goroutine
+// (connLost → substituteDest → classify) while placement rounds run on
+// another; the two paths must share no unguarded state. Run with -race.
+func TestDisconnectDuringPlacement(t *testing.T) {
+	topo := lineTopology(4)
+	h := newHarness(t, topo, []ClientConfig{
+		{Node: 0, Capable: true},
+		{Node: 1, Capable: true},
+		{Node: 2, Capable: true},
+		{Node: 3, Capable: true},
+	})
+	h.setUtil(0, 92, 50) // busy
+	h.setUtil(1, 30, 0)  // candidate (1 hop)
+	h.setUtil(2, 20, 0)  // candidate (2 hops) — the replica
+	h.setUtil(3, 65, 0)  // neutral
+	report, err := h.manager.RunPlacement()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(report.Accepted) != 1 || report.Accepted[0].Candidate != 1 {
+		t.Fatalf("accepted = %+v", report.Accepted)
+	}
+	// A topology edit (same value, new version) leaves both paths with a
+	// graph version that no round has seen yet.
+	topo.SetUtilization(0, topo.Edge(0).Utilization)
+
+	stop := make(chan struct{})
+	rounds := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				rounds <- nil
+				return
+			default:
+			}
+			if _, err := h.manager.RunPlacement(); err != nil {
+				rounds <- err
+				return
+			}
+		}
+	}()
+	h.manager.mu.Lock()
+	conn := h.manager.conns[1]
+	h.manager.mu.Unlock()
+	conn.Close()
+	waitFor(t, func() bool {
+		for _, a := range h.manager.NMDB().ActiveAssignments() {
+			if a.Candidate == 1 {
+				return false
+			}
+		}
+		return true
+	})
+	close(stop)
+	if err := <-rounds; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// classify runs on session goroutines (replica selection) as well as in
+// placement rounds, without tickMu: concurrent calls must not race, even
+// on a graph version neither has seen. Run with -race.
+func TestClassifyConcurrent(t *testing.T) {
+	topo := lineTopology(4)
+	h := newHarness(t, topo, []ClientConfig{
+		{Node: 0, Capable: true},
+		{Node: 1, Capable: true},
+	})
+	h.setUtil(0, 92, 50)
+	h.setUtil(1, 30, 0)
+	for range 20 {
+		topo.SetUtilization(0, topo.Edge(0).Utilization)
+		state := h.manager.NMDB().BuildState(h.manager.cfg.Defaults)
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		for i := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[i] = h.manager.classify(state)
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 func TestClientHostingView(t *testing.T) {
 	h := newHarness(t, lineTopology(2), []ClientConfig{
 		{Node: 0, Capable: true},

@@ -144,6 +144,9 @@ type Manager struct {
 	// through SnapshotState, whose reused buffers are only valid while
 	// ticks do not overlap (see that method's aliasing contract).
 	tickMu sync.Mutex
+	// round is the placement round's ledger, cleared and reused by each
+	// round. Guarded by tickMu.
+	round roundLedger
 
 	mu    sync.Mutex
 	conns map[int]proto.Conn
@@ -1253,13 +1256,20 @@ type roundLedger struct {
 	degraded bool
 }
 
+// startRound readies m.round for a new round: its maps are cleared, not
+// regrown, so a steady round allocates no ledger. Called with tickMu held;
+// the ledger is only valid until the next round starts.
 func (m *Manager) startRound() *roundLedger {
-	rl := &roundLedger{
-		start:    make(map[pendingKey]core.Assignment),
-		final:    make(map[pendingKey]core.Assignment),
-		timedOut: make(map[pendingKey]bool),
-		degraded: m.degradedNow(m.cfg.Now()),
+	rl := &m.round
+	if rl.start == nil {
+		rl.start = make(map[pendingKey]core.Assignment)
+		rl.final = make(map[pendingKey]core.Assignment)
+		rl.timedOut = make(map[pendingKey]bool)
 	}
+	clear(rl.start)
+	clear(rl.final)
+	clear(rl.timedOut)
+	rl.degraded = m.degradedNow(m.cfg.Now())
 	for _, a := range m.nmdb.ActiveAssignments() {
 		rl.start[pendingKey{busy: a.Busy, dest: a.Candidate}] = a
 	}

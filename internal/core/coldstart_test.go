@@ -81,20 +81,81 @@ func TestColdTransportPivotsFleet160(t *testing.T) {
 // BenchmarkColdTransportFleet160 times the solve TestColdTransportPivotsFleet160
 // counts: one cold lp.SolveTransport on the fleet160 instance.
 func BenchmarkColdTransportFleet160(b *testing.B) {
-	s, p := fleet160(17)
-	c, err := core.Classify(s, p.Thresholds)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rt, err := core.ComputeRoutes(s, c, p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prob := lp.TransportProblem{Supply: c.Cs, Demand: c.Cd, Cost: rt.Seconds}
+	prob := fleet160Problem(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := lp.SolveTransport(prob); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkReusedTransportFleet160 is BenchmarkColdTransportFleet160 on
+// one lp.Transport kept across solves — the Planner's path, which reuses
+// the tableau and the solution arrays. It should report 0 allocs/op.
+func BenchmarkReusedTransportFleet160(b *testing.B) {
+	prob := fleet160Problem(b)
+	var w lp.Transport
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := w.Solve(prob); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestSteadyRoundAllocBudgetFleet160 pins what a steady placement round
+// allocates on fleet160. A repeat solve on one lp.Transport allocates
+// nothing. A repeat Planner round, with every route row cached and
+// unchanged, allocates only what it returns: the Result, its route table
+// headers, the assignments and the shadow-price map.
+func TestSteadyRoundAllocBudgetFleet160(t *testing.T) {
+	const maxRoundAllocs = 10
+	prob := fleet160Problem(t)
+	var w lp.Transport
+	if _, err := w.Solve(prob); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := w.Solve(prob); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("repeat transport solve: %.0f allocations, want 0", allocs)
+	}
+
+	s, p := fleet160(17)
+	c, err := core.Classify(s, p.Thresholds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := core.NewPlanner(p)
+	if _, err := pl.SolveClassified(s, c); err != nil {
+		t.Fatal(err)
+	}
+	allocs = testing.AllocsPerRun(20, func() {
+		if _, err := pl.SolveClassified(s, c); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > maxRoundAllocs {
+		t.Errorf("steady planner round: %.0f allocations, budget %d", allocs, maxRoundAllocs)
+	}
+	t.Logf("steady planner round: %.0f allocations", allocs)
+}
+
+// fleet160Problem is the fleet160 transportation instance.
+func fleet160Problem(tb testing.TB) lp.TransportProblem {
+	tb.Helper()
+	s, p := fleet160(17)
+	c, err := core.Classify(s, p.Thresholds)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rt, err := core.ComputeRoutes(s, c, p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return lp.TransportProblem{Supply: c.Cs, Demand: c.Cd, Cost: rt.Seconds}
 }

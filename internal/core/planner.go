@@ -1,6 +1,11 @@
 package core
 
-import "time"
+import (
+	"sync"
+	"time"
+
+	"repro/internal/lp"
+)
 
 // Planner is a Solve front-end over a RouteCache: it caches per-source
 // route computations across placement rounds and revalidates them against
@@ -14,8 +19,16 @@ import "time"
 // Only the PathDP strategy is cacheable (exhaustive enumeration is
 // per-pair and dominated by path explosion by design); Solve calls with
 // PathEnumerate pass through uncached but still parallel.
+//
+// The planner also owns one transportation workspace (lp.Transport), so a
+// round's solve reuses the previous round's tableau and output arrays
+// instead of allocating them. Solves on one planner are serialised on it;
+// route computation is not.
 type Planner struct {
 	cache *RouteCache
+
+	mu sync.Mutex // guards lp
+	lp lp.Transport
 }
 
 // NewPlanner creates a planner with fixed parameters.
@@ -58,13 +71,16 @@ func (pl *Planner) SolveClassified(s *State, c *Classification) (*Result, error)
 	}
 	routeDur := time.Since(t0)
 
+	pl.mu.Lock()
 	t1 := time.Now()
-	res, err := solveWithRoutes(s, c, rt, pl.Params())
+	res, err := solveWithRoutes(s, c, rt, pl.Params(), &pl.lp)
+	solveDur := time.Since(t1)
+	pl.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
 	res.RouteDuration = routeDur
-	res.SolveDuration = time.Since(t1)
+	res.SolveDuration = solveDur
 	return res, nil
 }
 

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -187,4 +189,151 @@ func TestPlannerParamsAndInfeasible(t *testing.T) {
 	if res.Status != StatusOptimal {
 		t.Fatalf("ILP planner solve = %v", res.Status)
 	}
+}
+
+// TestPlannerResultOutlivesNextRound: a Result stays valid, bit for bit,
+// after the planner's next round, even though that round shares route
+// table rows with it and reuses the solver's workspace. Round r+1 changes
+// one busy node's data volume and makes one link dearer, which evicts the
+// cache rows routed over it; every other row must be shared, not copied.
+func TestPlannerResultOutlivesNextRound(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g := graph.FatTree(8, 1000)
+	params := DefaultParams()
+	params.PathStrategy = PathDP
+	s, err := RandomState(g, DefaultScenario(), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := NewPlanner(params)
+	res1, err := pl.Solve(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	busy := res1.Classification.Busy
+	if res1.Status != StatusOptimal || len(busy) < 3 {
+		t.Fatalf("fixture: status %v with %d busy nodes", res1.Status, len(busy))
+	}
+	secs1 := make([][]float64, len(busy))
+	for bi, row := range res1.Routes.Seconds {
+		secs1[bi] = append([]float64(nil), row...)
+	}
+	assign1 := cloneAssignments(res1.Assignments)
+
+	// The dearer link lies on a route of the last busy node's cache row.
+	changed := busy[0]
+	var edge graph.EdgeID = -1
+	for _, p := range pl.cache.rows[busy[len(busy)-1]].paths {
+		if len(p.Edges) > 0 {
+			edge = p.Edges[0]
+			break
+		}
+	}
+	if edge < 0 {
+		t.Fatal("fixture: last busy node has no routes")
+	}
+	before := make(map[int]*cacheRow, len(busy))
+	for _, b := range busy {
+		before[b] = pl.cache.rows[b]
+	}
+	s.DataMb[changed] *= 1.5
+	g.SetUtilization(edge, g.Edge(edge).Utilization/2)
+	res2, err := pl.Solve(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(res2.Classification.Busy, busy) {
+		t.Fatal("fixture: the busy set moved between rounds")
+	}
+	if st := pl.cache.Stats(); st.Evicted == 0 {
+		t.Fatal("the link edit evicted no row")
+	}
+
+	for bi, row := range res1.Routes.Seconds {
+		for cj, v := range row {
+			if math.Float64bits(v) != math.Float64bits(secs1[bi][cj]) {
+				t.Fatalf("round r's Seconds[%d][%d] changed: %g -> %g", bi, cj, secs1[bi][cj], v)
+			}
+		}
+	}
+	if !sameAssignments(res1.Assignments, assign1) {
+		t.Fatal("round r's assignments changed after round r+1")
+	}
+
+	shared := 0
+	for bi, b := range busy {
+		want := b != changed && pl.cache.rows[b] == before[b]
+		got := len(res2.Routes.Seconds[bi]) > 0 && &res2.Routes.Seconds[bi][0] == &res1.Routes.Seconds[bi][0]
+		if got != want {
+			t.Fatalf("busy node %d: row shared=%v, want %v", b, got, want)
+		}
+		if got {
+			shared++
+		}
+	}
+	if shared == 0 || shared == len(busy) {
+		t.Fatalf("%d of %d rows shared; the fixture should share some, not all", shared, len(busy))
+	}
+}
+
+// TestPlannerConcurrentSolves: two goroutines solving on one planner share
+// its route cache and transport workspace; under -race this must stay
+// clean, and each must get the stateless solve's objective.
+func TestPlannerConcurrentSolves(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	g := graph.FatTree(4, 1000)
+	graph.RandomizeUtilization(g, 0.2, 0.8, rng)
+	params := DefaultParams()
+	params.PathStrategy = PathDP
+	states := make([]*State, 2)
+	for k := range states {
+		s, err := RandomState(g, DefaultScenario(), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		states[k] = s
+	}
+	pl := NewPlanner(params)
+	errs := make(chan error, len(states))
+	for _, s := range states {
+		go func() {
+			want, err := Solve(s, params)
+			for r := 0; r < 50 && err == nil; r++ {
+				var got *Result
+				if got, err = pl.Solve(s); err == nil && got.Objective != want.Objective {
+					err = fmt.Errorf("round %d: objective %g, stateless %g", r, got.Objective, want.Objective)
+				}
+			}
+			errs <- err
+		}()
+	}
+	for range states {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func cloneAssignments(as []Assignment) []Assignment {
+	out := append([]Assignment(nil), as...)
+	for i := range out {
+		out[i].Route.Edges = append([]graph.EdgeID(nil), as[i].Route.Edges...)
+	}
+	return out
+}
+
+func sameAssignments(a, b []Assignment) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if x.Busy != y.Busy || x.Candidate != y.Candidate ||
+			math.Float64bits(x.Amount) != math.Float64bits(y.Amount) ||
+			math.Float64bits(x.ResponseTimeSec) != math.Float64bits(y.ResponseTimeSec) ||
+			x.Route.Src != y.Route.Src || x.Route.Dst != y.Route.Dst || !slices.Equal(x.Route.Edges, y.Route.Edges) {
+			return false
+		}
+	}
+	return true
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -64,7 +65,22 @@ type RouteCache struct {
 	// rates is the current round's effective rate per edge.
 	rates []float64
 	rows  map[int]*cacheRow
-	st    CacheStats
+	// last describes the table the previous round assembled.
+	last lastTable
+	st   CacheStats
+}
+
+// lastTable is what each row of the last assembled table was derived from:
+// the busy node, its cache row and its effective data volume, over one
+// candidate list. A row whose inputs are all unchanged is shared with the
+// next table instead of rebuilt; rows are never written after assembly, so
+// a table held from an earlier round stays valid. The slices are the
+// cache's own copies, since a caller may reuse its classification.
+type lastTable struct {
+	busy, cands []int
+	rows        []*cacheRow
+	data        []float64
+	secs        [][]float64
 }
 
 // cacheRow is one source's per-unit (per-Mb) route computation.
@@ -113,6 +129,7 @@ func (rc *RouteCache) Flush() {
 	rc.g = nil
 	rc.lu = nil
 	rc.rows = make(map[int]*cacheRow)
+	rc.last = lastTable{}
 	rc.mu.Unlock()
 }
 
@@ -150,47 +167,55 @@ func (rc *RouteCache) ComputeRoutes(s *State, c *Classification) (*RouteTable, e
 	}
 	rc.mu.Unlock()
 
+	var fresh []*cacheRow
 	if len(missing) > 0 {
-		fresh := make([]*cacheRow, len(missing))
-		workers := rc.params.routeWorkers(len(missing))
-		if workers <= 1 {
-			sc := &graph.DPScratch{}
-			for mi, bi := range missing {
-				fresh[mi] = rc.computeRow(s.G, c.Busy[bi], w, sc)
-			}
-		} else {
-			work := make(chan int)
-			var wg sync.WaitGroup
-			for range workers {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					sc := &graph.DPScratch{}
-					for mi := range work {
-						fresh[mi] = rc.computeRow(s.G, c.Busy[missing[mi]], w, sc)
-					}
-				}()
-			}
-			for mi := range missing {
-				work <- mi
-			}
-			close(work)
-			wg.Wait()
-		}
-		rc.mu.Lock()
-		// Only store if the cache generation is still current: a concurrent
-		// round may have revalidated against a newer graph or overlay.
-		store := rc.g == s.G && rc.version == version && rc.mver == mver
-		for mi, bi := range missing {
-			entries[bi] = fresh[mi]
-			if store {
-				rc.rows[c.Busy[bi]] = fresh[mi]
-			}
-		}
-		rc.mu.Unlock()
+		fresh = rc.computeRows(s.G, c.Busy, missing, w)
 	}
 
-	return assembleRouteTable(s, c, entries)
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	// Only store if the cache generation is still current: a concurrent
+	// round may have revalidated against a newer graph or overlay.
+	store := rc.g == s.G && rc.version == version && rc.mver == mver
+	for mi, bi := range missing {
+		entries[bi] = fresh[mi]
+		if store {
+			rc.rows[c.Busy[bi]] = fresh[mi]
+		}
+	}
+	return rc.assemble(s, c, entries)
+}
+
+// computeRows computes the rows of the busy nodes at the missing indices
+// under the round's cost vector w, fanned out across the worker pool.
+func (rc *RouteCache) computeRows(g *graph.Graph, busy, missing []int, w []float64) []*cacheRow {
+	fresh := make([]*cacheRow, len(missing))
+	workers := rc.params.routeWorkers(len(missing))
+	if workers <= 1 {
+		sc := &graph.DPScratch{}
+		for mi, bi := range missing {
+			fresh[mi] = rc.computeRow(g, busy[bi], w, sc)
+		}
+		return fresh
+	}
+	work := make(chan int)
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sc := &graph.DPScratch{}
+			for mi := range work {
+				fresh[mi] = rc.computeRow(g, busy[missing[mi]], w, sc)
+			}
+		}()
+	}
+	for mi := range missing {
+		work <- mi
+	}
+	close(work)
+	wg.Wait()
+	return fresh
 }
 
 // unboundedHops reports whether a hop bound lets the DP run to
@@ -311,21 +336,38 @@ func (rc *RouteCache) revalidate(g *graph.Graph, rates []float64, mver uint64) {
 	}
 }
 
-// assembleRouteTable scales the per-unit rows by each busy node's
-// effective data volume and restricts them to the candidate columns.
-func assembleRouteTable(s *State, c *Classification, entries []*cacheRow) (*RouteTable, error) {
+// assemble scales the per-unit rows by each busy node's effective data
+// volume and restricts them to the candidate columns. A row whose busy
+// node, cache row and data volume are those of a row of the last table,
+// over the same candidate list, is that row: it is shared, not rebuilt.
+// Called with rc.mu held.
+func (rc *RouteCache) assemble(s *State, c *Classification, entries []*cacheRow) (*RouteTable, error) {
 	rt := &RouteTable{
 		Busy:       c.Busy,
 		Candidates: c.Candidates,
 		Seconds:    make([][]float64, len(c.Busy)),
 		paths:      make([][]graph.Path, len(c.Busy)),
 	}
+	last := &rc.last
+	reuse := slices.Equal(last.cands, c.Candidates)
+	k := 0 // merge cursor into last.busy; both lists ascend
 	for bi, b := range c.Busy {
 		data := s.effectiveDataMb(b)
 		if data < 0 {
 			return nil, fmt.Errorf("core: busy node %d has negative data volume", b)
 		}
 		row := entries[bi]
+		rt.paths[bi] = row.paths
+		if reuse {
+			for k < len(last.busy) && last.busy[k] < b {
+				k++
+			}
+			if k < len(last.busy) && last.busy[k] == b && last.rows[k] == row &&
+				math.Float64bits(last.data[k]) == math.Float64bits(data) {
+				rt.Seconds[bi] = last.secs[k]
+				continue
+			}
+		}
 		secs := make([]float64, len(c.Candidates))
 		for cj, cand := range c.Candidates {
 			if math.IsInf(row.dist[cand], 1) {
@@ -335,7 +377,14 @@ func assembleRouteTable(s *State, c *Classification, entries []*cacheRow) (*Rout
 			secs[cj] = data * row.dist[cand]
 		}
 		rt.Seconds[bi] = secs
-		rt.paths[bi] = row.paths
+	}
+	last.busy = append(last.busy[:0], c.Busy...)
+	last.cands = append(last.cands[:0], c.Candidates...)
+	last.rows = entries
+	last.secs = append(last.secs[:0], rt.Seconds...)
+	last.data = last.data[:0]
+	for _, b := range c.Busy {
+		last.data = append(last.data, s.effectiveDataMb(b))
 	}
 	return rt, nil
 }

@@ -251,7 +251,7 @@ func SolveClassified(s *State, c *Classification, p Params) (*Result, error) {
 	routeDur := time.Since(t0)
 
 	t1 := time.Now()
-	res, err := solveWithRoutes(s, c, rt, p)
+	res, err := solveWithRoutes(s, c, rt, p, new(lp.Transport))
 	if err != nil {
 		return nil, err
 	}
@@ -260,8 +260,10 @@ func SolveClassified(s *State, c *Classification, p Params) (*Result, error) {
 	return res, nil
 }
 
-// solveWithRoutes is SolveClassified with a precomputed route table.
-func solveWithRoutes(s *State, c *Classification, rt *RouteTable, p Params) (*Result, error) {
+// solveWithRoutes is SolveClassified with a precomputed route table. A
+// transportation solve runs on the workspace w, which the caller must not
+// share with a concurrent solve.
+func solveWithRoutes(s *State, c *Classification, rt *RouteTable, p Params, w *lp.Transport) (*Result, error) {
 	res := &Result{Status: StatusOptimal, Classification: c, Routes: rt}
 	if len(c.Busy) == 0 {
 		return res, nil
@@ -281,7 +283,7 @@ func solveWithRoutes(s *State, c *Classification, rt *RouteTable, p Params) (*Re
 	var err error
 	switch solver {
 	case SolverTransport:
-		err = solveTransport(c, rt, res)
+		err = solveTransport(c, rt, res, w)
 	case SolverSimplex:
 		err = solveLP(s, c, rt, res, false)
 	case SolverILP:
@@ -295,8 +297,8 @@ func solveWithRoutes(s *State, c *Classification, rt *RouteTable, p Params) (*Re
 	return res, nil
 }
 
-func solveTransport(c *Classification, rt *RouteTable, res *Result) error {
-	sol, err := lp.SolveTransport(transportProblem(c, rt))
+func solveTransport(c *Classification, rt *RouteTable, res *Result, w *lp.Transport) error {
+	sol, err := w.Solve(transportProblem(c, rt))
 	if err != nil {
 		return err
 	}
@@ -314,7 +316,8 @@ func transportProblem(c *Classification, rt *RouteTable) lp.TransportProblem {
 }
 
 // extractTransport translates a transportation solution into the solve
-// result: status, objective, shadow prices, and nonzero assignments.
+// result: status, objective, shadow prices, and nonzero assignments. The
+// result keeps nothing of sol, which belongs to the solver's workspace.
 func extractTransport(c *Classification, rt *RouteTable, res *Result, sol *lp.TransportSolution) error {
 	res.Pivots = sol.Iterations
 	if sol.Status != lp.StatusOptimal {
@@ -330,9 +333,18 @@ func extractTransport(c *Classification, rt *RouteTable, res *Result, sol *lp.Tr
 		}
 		res.ShadowPrices[cand] = price
 	}
-	for bi := range c.Busy {
-		for cj := range c.Candidates {
-			if f := sol.Flow[bi][cj]; f > 1e-9 {
+	placed := 0
+	for _, row := range sol.Flow {
+		for _, f := range row {
+			if f > 1e-9 {
+				placed++
+			}
+		}
+	}
+	res.Assignments = make([]Assignment, 0, placed)
+	for bi, row := range sol.Flow {
+		for cj, f := range row {
+			if f > 1e-9 {
 				res.Assignments = append(res.Assignments, Assignment{
 					Busy:            c.Busy[bi],
 					Candidate:       c.Candidates[cj],

@@ -11,6 +11,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -158,8 +159,12 @@ func (g *Graph) AddEdge(u, v int, capMbps float64) EdgeID {
 func (g *Graph) Version() uint64 { return g.version }
 
 // SetUtilization sets the dynamic utilization fraction of edge id,
-// clamping to [0, 1].
+// clamping to [0, 1]. A NaN utilization panics: no clamp can place it, and
+// a NaN rate would silently make the edge impassable to every route.
 func (g *Graph) SetUtilization(id EdgeID, util float64) {
+	if math.IsNaN(util) {
+		panic(fmt.Sprintf("graph: NaN utilization for edge %d", id))
+	}
 	if util < 0 {
 		util = 0
 	}
@@ -171,13 +176,18 @@ func (g *Graph) SetUtilization(id EdgeID, util float64) {
 }
 
 // AddUtilizedMbps adds mbps of data-plane traffic to edge id, expressed as
-// extra utilization, clamping total utilization to [0, 1].
+// extra utilization, clamping total utilization to [0, 1]. It panics when
+// the new utilization is NaN (a NaN mbps, or infinite traffic on an
+// infinite link), as SetUtilization does.
 func (g *Graph) AddUtilizedMbps(id EdgeID, mbps float64) {
 	e := &g.edges[id]
 	if e.CapMbps <= 0 {
 		return
 	}
 	u := e.Utilization + mbps/e.CapMbps
+	if math.IsNaN(u) {
+		panic(fmt.Sprintf("graph: %g Mbps on edge %d (capacity %g) gives NaN utilization", mbps, id, e.CapMbps))
+	}
 	if u < 0 {
 		u = 0
 	}
@@ -323,7 +333,8 @@ func (g *Graph) InducedSubgraph(nodes []int) (*Graph, []int) {
 }
 
 // Validate checks internal invariants: endpoint ordering, adjacency
-// symmetry, and capacity non-negativity. It returns the first violation.
+// symmetry, capacity non-negativity and utilization in [0, 1] (NaN fails
+// both). It returns the first violation, in edge order.
 func (g *Graph) Validate() error {
 	for _, e := range g.edges {
 		if e.U >= e.V {
@@ -332,33 +343,34 @@ func (g *Graph) Validate() error {
 		if e.V >= len(g.nodes) {
 			return fmt.Errorf("graph: edge %d endpoint %d out of range", e.ID, e.V)
 		}
-		if e.CapMbps < 0 {
+		if !(e.CapMbps >= 0) {
 			return fmt.Errorf("graph: edge %d has negative capacity %g", e.ID, e.CapMbps)
 		}
-		if e.Utilization < 0 || e.Utilization > 1 {
+		if !(e.Utilization >= 0 && e.Utilization <= 1) {
 			return fmt.Errorf("graph: edge %d utilization %g outside [0,1]", e.ID, e.Utilization)
 		}
 	}
-	counts := make(map[EdgeID]int, len(g.edges))
+	// Each edge must be listed exactly twice, once per endpoint. The count
+	// saturates, so a corrupt list cannot wrap it back to 2.
+	counts := make([]uint8, len(g.edges))
 	for n, ids := range g.adj {
 		for _, id := range ids {
-			if int(id) >= len(g.edges) {
+			if id < 0 || int(id) >= len(g.edges) {
 				return fmt.Errorf("graph: node %d references unknown edge %d", n, id)
 			}
 			e := g.edges[id]
 			if e.U != n && e.V != n {
 				return fmt.Errorf("graph: node %d lists edge %d (%d-%d) it is not on", n, id, e.U, e.V)
 			}
-			counts[id]++
+			if counts[id] < math.MaxUint8 {
+				counts[id]++
+			}
 		}
 	}
 	for id, c := range counts {
 		if c != 2 {
 			return fmt.Errorf("graph: edge %d appears %d times in adjacency lists, want 2", id, c)
 		}
-	}
-	if len(counts) != len(g.edges) {
-		return fmt.Errorf("graph: %d edges reachable from adjacency, want %d", len(counts), len(g.edges))
 	}
 	return nil
 }

@@ -183,6 +183,65 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNaN: NaN fails every ordered comparison, so range
+// checks written as "outside the range" let it through. Validate must
+// reject a NaN capacity and a NaN utilization.
+func TestValidateRejectsNaN(t *testing.T) {
+	g := Ring(4, 10)
+	g.AddEdge(0, 2, math.NaN())
+	if err := g.Validate(); err == nil {
+		t.Fatal("Validate accepted a NaN capacity")
+	}
+	g = Ring(4, 10)
+	g.edges[1].Utilization = math.NaN()
+	if err := g.Validate(); err == nil {
+		t.Fatal("Validate accepted a NaN utilization")
+	}
+}
+
+// TestValidateReportsFirstBadEdge: adjacency faults are reported for the
+// lowest bad edge, every time.
+func TestValidateReportsFirstBadEdge(t *testing.T) {
+	g := Ring(6, 10)
+	g.adj[0] = append(g.adj[0], 5) // edge 5 (0-5) listed three times
+	g.adj[3] = g.adj[3][:1]        // drops edge 3's entry at node 3
+	want := "graph: edge 3 appears 1 times in adjacency lists, want 2"
+	for range 20 {
+		if err := g.Validate(); err == nil || err.Error() != want {
+			t.Fatalf("Validate = %v, want %q", err, want)
+		}
+	}
+}
+
+// TestUtilizationMutatorsPanicOnNaN: no clamp can place a NaN, so both
+// utilization mutators refuse one instead of storing it.
+func TestUtilizationMutatorsPanicOnNaN(t *testing.T) {
+	g := New(2)
+	id := g.AddEdge(0, 1, 100)
+	inf := g.AddEdge(0, 1, math.Inf(1))
+	for name, mutate := range map[string]func(){
+		"SetUtilization(NaN)":      func() { g.SetUtilization(id, math.NaN()) },
+		"AddUtilizedMbps(NaN)":     func() { g.AddUtilizedMbps(id, math.NaN()) },
+		"AddUtilizedMbps(Inf/Inf)": func() { g.AddUtilizedMbps(inf, math.Inf(1)) },
+	} {
+		ver := g.Version()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			mutate()
+		}()
+		if g.Version() != ver {
+			t.Errorf("%s bumped the version", name)
+		}
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatalf("graph invalid after refused mutations: %v", err)
+	}
+}
+
 func TestFatTreeSizes(t *testing.T) {
 	cases := []struct{ k, nodes, edges int }{
 		{4, 20, 32},

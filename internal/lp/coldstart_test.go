@@ -9,6 +9,13 @@ import (
 	"testing"
 )
 
+// prepareTransport runs the prepare step of a fresh workspace.
+func prepareTransport(p TransportProblem) (*transportPrep, *TransportSolution, error) {
+	w := new(Transport)
+	early, err := w.prepare(p)
+	return &w.prep, early, err
+}
+
 // shipment is one step of the least-cost method: flow f placed on cell c.
 type shipment struct {
 	c cell

@@ -1,6 +1,7 @@
 package lp_test
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -171,6 +172,8 @@ func readCorpusBytes(t *testing.T, path string) []byte {
 // finite duals, and both the feasibility verdict and the objective must
 // agree with the independent successive-shortest-path reference — where
 // a sub-eps supply is involved, in the direction its tolerance allows.
+// A workspace that solved another problem first must return the fresh
+// solve's solution bit for bit (checkWorkspaceReuse).
 func FuzzSolveTransport(f *testing.F) {
 	for _, seed := range solveTransportSeeds {
 		f.Add(seed)
@@ -185,6 +188,7 @@ func FuzzSolveTransport(f *testing.F) {
 		if err != nil {
 			t.Fatalf("well-formed problem errored: %v", err)
 		}
+		checkWorkspaceReuse(t, p, sol)
 		feasible, exact, refObj := referenceVerdicts(p)
 		optimal := sol.Status == lp.StatusOptimal
 		// Where exact == feasible the verdict is unique; in between, both
@@ -244,6 +248,110 @@ func FuzzSolveTransport(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkWorkspaceReuse solves p on an lp.Transport that first solved a
+// differently shaped or differently prepared problem, one workspace per
+// predecessor, and requires every field of the result to equal the fresh
+// solve's bit for bit. The predecessors cover the same shape, a shrink, a
+// grow, and a switch between the aliased (clean) and owned (forbidden or
+// rescaled) cost paths in both directions.
+func checkWorkspaceReuse(t *testing.T, p lp.TransportProblem, fresh *lp.TransportSolution) {
+	t.Helper()
+	m, n := len(p.Supply), len(p.Demand)
+	reshape := func(rows, cols int, cost func(i, j int) float64) lp.TransportProblem {
+		q := lp.TransportProblem{Supply: make([]float64, rows), Demand: make([]float64, cols), Cost: make([][]float64, rows)}
+		for i := range q.Cost {
+			q.Supply[i] = 1 + float64(i)
+			if i < m {
+				q.Supply[i] = p.Supply[i]
+			}
+			q.Cost[i] = make([]float64, cols)
+			for j := range q.Cost[i] {
+				q.Cost[i][j] = cost(i, j)
+			}
+		}
+		for j := range q.Demand {
+			q.Demand[j] = 30
+			if j < n {
+				q.Demand[j] = p.Demand[j]
+			}
+		}
+		return q
+	}
+	orig := func(i, j int) float64 {
+		if i < m && j < n {
+			return p.Cost[i][j]
+		}
+		return float64(i + j)
+	}
+	preds := map[string]lp.TransportProblem{
+		"same problem": p,
+		"shrink":       reshape(m+1, n+1, orig),
+		"grow":         reshape(max(1, m-1), max(1, n-1), orig),
+		"one lane forbidden": reshape(m, n, func(i, j int) float64 {
+			if i == 0 && j == 0 {
+				return math.Inf(1)
+			}
+			return p.Cost[i][j]
+		}),
+		"no lane forbidden": reshape(m, n, func(i, j int) float64 {
+			if math.IsInf(p.Cost[i][j], 1) {
+				return 40
+			}
+			return p.Cost[i][j]
+		}),
+		"costs past 1e100": reshape(m, n, func(i, j int) float64 { return 1e101 * (1 + p.Cost[i][j]) }),
+	}
+	for name, pred := range preds {
+		var w lp.Transport
+		if _, err := w.Solve(pred); err != nil {
+			t.Fatalf("%s: predecessor errored: %v", name, err)
+		}
+		got, err := w.Solve(p)
+		if err != nil {
+			t.Fatalf("%s: reused workspace errored: %v", name, err)
+		}
+		if diff := solutionDiff(got, fresh); diff != "" {
+			t.Fatalf("after %s, the reused workspace differs from a fresh solve: %s", name, diff)
+		}
+	}
+}
+
+// solutionDiff describes the first field in which a and b differ, comparing
+// floats by their bits; "" when they are identical.
+func solutionDiff(a, b *lp.TransportSolution) string {
+	sameFloats := func(x, y []float64) bool {
+		if len(x) != len(y) || (x == nil) != (y == nil) {
+			return false
+		}
+		for k := range x {
+			if math.Float64bits(x[k]) != math.Float64bits(y[k]) {
+				return false
+			}
+		}
+		return true
+	}
+	switch {
+	case a.Status != b.Status:
+		return fmt.Sprintf("status %v vs %v", a.Status, b.Status)
+	case math.Float64bits(a.Objective) != math.Float64bits(b.Objective):
+		return fmt.Sprintf("objective %v vs %v", a.Objective, b.Objective)
+	case a.Iterations != b.Iterations:
+		return fmt.Sprintf("iterations %d vs %d", a.Iterations, b.Iterations)
+	case len(a.Flow) != len(b.Flow) || (a.Flow == nil) != (b.Flow == nil):
+		return fmt.Sprintf("flow rows %d vs %d", len(a.Flow), len(b.Flow))
+	case !sameFloats(a.DualSupply, b.DualSupply):
+		return fmt.Sprintf("supply duals %v vs %v", a.DualSupply, b.DualSupply)
+	case !sameFloats(a.DualDemand, b.DualDemand):
+		return fmt.Sprintf("demand duals %v vs %v", a.DualDemand, b.DualDemand)
+	}
+	for i := range a.Flow {
+		if !sameFloats(a.Flow[i], b.Flow[i]) {
+			return fmt.Sprintf("flow row %d: %v vs %v", i, a.Flow[i], b.Flow[i])
+		}
+	}
+	return ""
 }
 
 // modelFromBytes decodes a small LP/MIP from fuzz data: up to 4 variables

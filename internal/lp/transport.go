@@ -21,7 +21,8 @@ type TransportProblem struct {
 	Cost   [][]float64
 }
 
-// TransportSolution is the result of SolveTransport.
+// TransportSolution is the result of SolveTransport. One returned by
+// (*Transport).Solve belongs to that workspace until its next Solve.
 type TransportSolution struct {
 	Status    Status
 	Objective float64
@@ -39,8 +40,33 @@ type TransportSolution struct {
 
 var errMalformed = errors.New("lp: malformed transportation problem")
 
+// Transport is a reusable transportation solver: a workspace holding the
+// balanced problem, the tableau and the solution arrays of its last solve.
+// Solves of the same shape (m sources × n sinks) reuse all of it, so a
+// caller that solves every round — the core Planner — allocates nothing
+// per solve; a new shape regrows the arrays. Every solve still starts cold
+// from the problem alone, so a reused workspace returns exactly, bit for
+// bit, what a fresh one would.
+//
+// The zero value is ready to use. A Transport is not safe for concurrent
+// use: callers that share one serialise their solves.
+type Transport struct {
+	prep transportPrep
+	tab  *transportTableau
+	sol  TransportSolution
+
+	rows     [][]float64 // prep.cost's row headers, len m+1
+	costs    []float64   // owned scaled costs, len m·n, when rows cannot alias the problem's
+	zeros    []float64   // the dummy row's costs, len n, never written
+	forb     []bool      // owned forbidden-lane mask, len m·n
+	flowRows [][]float64 // sol.Flow, rows backed by flows
+	flows    []float64   // len m·n
+	duals    []float64   // sol.DualSupply then sol.DualDemand, len m+n
+	sorted   []cell      // finish's scratch: one row's basic cells in column order
+}
+
 // transportPrep is the validated, balanced, Big-M'd form of a
-// TransportProblem.
+// TransportProblem. Its slices may alias the problem's, read-only.
 type transportPrep struct {
 	m, n  int // original shape (rows excluding the dummy)
 	dummy int // row index of the balancing dummy source (after the real rows)
@@ -49,50 +75,59 @@ type transportPrep struct {
 	tol    float64
 	scale  float64
 	supply []float64   // balanced: len m+1, the dummy's entry its slack
-	demand []float64   // len n
+	demand []float64   // len n: the problem's own Demand
 	cost   [][]float64 // balanced scaled costs: len m+1 rows
-	forb   []bool      // len m*n: the original problem's forbidden lanes
+	// forb is the original problem's forbidden lanes, len m*n; nil when no
+	// lane is forbidden.
+	forb []bool
 }
 
-// prepareTransport validates and balances the problem. A non-nil early
+// prepare validates and balances the problem into w.prep. A non-nil early
 // solution means the solve is already decided (trivial infeasibility)
 // before any pivoting.
-func prepareTransport(p TransportProblem) (*transportPrep, *TransportSolution, error) {
+//
+// Without forbidden lanes or a rescale (the fleet case) the real cost rows
+// and the demand are the problem's own, read-only; otherwise the scaled,
+// Big-M'd costs are written into one owned m·n block.
+func (w *Transport) prepare(p TransportProblem) (*TransportSolution, error) {
 	m, n := len(p.Supply), len(p.Demand)
 	if m == 0 || n == 0 {
-		return nil, nil, fmt.Errorf("%w: %d sources, %d sinks", errMalformed, m, n)
+		return nil, fmt.Errorf("%w: %d sources, %d sinks", errMalformed, m, n)
 	}
 	if len(p.Cost) != m {
-		return nil, nil, fmt.Errorf("%w: cost has %d rows, want %d", errMalformed, len(p.Cost), m)
+		return nil, fmt.Errorf("%w: cost has %d rows, want %d", errMalformed, len(p.Cost), m)
 	}
 	totalSupply, totalDemand := 0.0, 0.0
 	maxCost := 0.0
+	forbidden := false
 	tol := eps
 	for i := range p.Supply {
 		if p.Supply[i] < 0 {
-			return nil, nil, fmt.Errorf("%w: negative supply %g at source %d", errMalformed, p.Supply[i], i)
+			return nil, fmt.Errorf("%w: negative supply %g at source %d", errMalformed, p.Supply[i], i)
 		}
 		if len(p.Cost[i]) != n {
-			return nil, nil, fmt.Errorf("%w: cost row %d has %d entries, want %d", errMalformed, i, len(p.Cost[i]), n)
+			return nil, fmt.Errorf("%w: cost row %d has %d entries, want %d", errMalformed, i, len(p.Cost[i]), n)
 		}
 		totalSupply += p.Supply[i]
 		if s := p.Supply[i]; s > 0 && eps*s < tol {
 			tol = eps * s
 		}
-		for j := range p.Cost[i] {
-			if c := p.Cost[i][j]; !math.IsInf(c, 1) && c > maxCost {
+		for _, c := range p.Cost[i] {
+			if math.IsInf(c, 1) {
+				forbidden = true
+			} else if c > maxCost {
 				maxCost = c
 			}
 		}
 	}
 	for j := range p.Demand {
 		if p.Demand[j] < 0 {
-			return nil, nil, fmt.Errorf("%w: negative demand %g at sink %d", errMalformed, p.Demand[j], j)
+			return nil, fmt.Errorf("%w: negative demand %g at sink %d", errMalformed, p.Demand[j], j)
 		}
 		totalDemand += p.Demand[j]
 	}
 	if totalSupply > totalDemand+tol {
-		return nil, &TransportSolution{Status: StatusInfeasible}, nil
+		return &TransportSolution{Status: StatusInfeasible}, nil
 	}
 
 	// Balance: a dummy source absorbs unused sink capacity at zero cost,
@@ -114,28 +149,44 @@ func prepareTransport(p TransportProblem) (*transportPrep, *TransportSolution, e
 		scale = maxCost
 		bigM = 2 * float64(m+n) * 1e3
 	}
-	M := m + 1 // rows including dummy
-	cost := make([][]float64, M)
-	supply := make([]float64, M)
+	supply := grow(w.prep.supply, m+1)
 	copy(supply, p.Supply)
 	supply[m] = totalDemand - totalSupply
-	forb := make([]bool, m*n)
-	for i := 0; i < M; i++ {
-		cost[i] = make([]float64, n)
-		for j := 0; j < n; j++ {
-			switch {
-			case i == m:
-				cost[i][j] = 0
-			case math.IsInf(p.Cost[i][j], 1):
-				cost[i][j] = bigM
-				forb[i*n+j] = true
-			default:
-				cost[i][j] = p.Cost[i][j] / scale
+	w.zeros = grow(w.zeros, n)
+	w.rows = grow(w.rows, m+1)
+	var forb []bool
+	if !forbidden && scale == 1 {
+		copy(w.rows, p.Cost)
+	} else {
+		w.costs = grow(w.costs, m*n)
+		w.forb = grow(w.forb, m*n)
+		forb = w.forb
+		clear(forb)
+		for i := 0; i < m; i++ {
+			row := w.costs[i*n : (i+1)*n : (i+1)*n]
+			for j, c := range p.Cost[i] {
+				if math.IsInf(c, 1) {
+					row[j] = bigM
+					forb[i*n+j] = true
+				} else {
+					row[j] = c / scale
+				}
 			}
+			w.rows[i] = row
 		}
 	}
-	demand := append([]float64(nil), p.Demand...)
-	return &transportPrep{m: m, n: n, dummy: m, tol: tol, scale: scale, supply: supply, demand: demand, cost: cost, forb: forb}, nil, nil
+	w.rows[m] = w.zeros
+	w.prep = transportPrep{m: m, n: n, dummy: m, tol: tol, scale: scale, supply: supply, demand: p.Demand, cost: w.rows, forb: forb}
+	return nil, nil
+}
+
+// grow returns s resized to length n, reusing its array when it is large
+// enough. Elements past the old length are whatever the array held.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // SolveTransport solves the transportation problem with the classical
@@ -152,25 +203,50 @@ func prepareTransport(p TransportProblem) (*transportPrep, *TransportSolution, e
 // source ships, and MODI then spends most of its pivots moving it back: on
 // the 160-node fleet160 benchmark shape (54 sources × 106 sinks) that start
 // took 79 pivots, the dummy-last one takes 1.
+//
+// SolveTransport is a solve on a fresh workspace; callers that solve
+// repeatedly keep a Transport instead.
 func SolveTransport(p TransportProblem) (*TransportSolution, error) {
-	prep, early, err := prepareTransport(p)
+	return new(Transport).Solve(p)
+}
+
+// Solve is SolveTransport on the workspace's storage. The problem is only
+// read. The returned solution, its Flow rows and its duals belong to the
+// workspace: they are valid until the next call to Solve.
+func (w *Transport) Solve(p TransportProblem) (*TransportSolution, error) {
+	early, err := w.prepare(p)
 	if early != nil || err != nil {
 		return early, err
 	}
-	t := newTransportTableau(prep)
+	t := w.tableau()
 	t.initialBasis()
 	if err := t.optimize(); err != nil {
 		return nil, err
 	}
-	return finishTransport(t, p, prep), nil
+	return w.finish(t, p), nil
 }
 
-// finishTransport turns an optimized tableau into the exported solution:
-// the forbidden-flow feasibility audit, the dual gauge fix, and the
-// objective recomputed from the original costs.
-func finishTransport(t *transportTableau, p TransportProblem, prep *transportPrep) *TransportSolution {
+// tableau returns the workspace's tableau loaded with w.prep: the previous
+// one emptied when the shape matches, a new one otherwise.
+func (w *Transport) tableau() *transportTableau {
+	prep := &w.prep
+	if t := w.tab; t != nil && t.m == len(prep.supply) && t.n == len(prep.demand) {
+		t.reset(prep)
+		return t
+	}
+	w.tab = newTransportTableau(prep)
+	return w.tab
+}
+
+// finish turns an optimized tableau into the exported solution: the
+// forbidden-flow feasibility audit, the dual gauge fix, and the objective
+// recomputed from the original costs. Flow is zero off the basis, so the
+// audit and the output walk the m+n−1 basic cells, each row's in column
+// order — the order, and so the float sums, of a walk over the m·n grid.
+func (w *Transport) finish(t *transportTableau, p TransportProblem) *TransportSolution {
+	prep := &w.prep
 	m, n := prep.m, prep.n
-	forbidden := func(i, j int) bool { return i != prep.dummy && prep.forb[i*n+j] }
+	forbidden := func(i, j int) bool { return i != prep.dummy && prep.forb != nil && prep.forb[i*n+j] }
 	for i := 0; i < m; i++ {
 		// Flow beyond roundoff on a forbidden lane means the real problem
 		// is infeasible. The tolerance shrinks with the source's supply —
@@ -184,8 +260,8 @@ func finishTransport(t *transportTableau, p TransportProblem, prep *transportPre
 			continue
 		}
 		tol := eps * math.Min(1, p.Supply[i])
-		for j := 0; j < n; j++ {
-			if forbidden(i, j) && t.flowAt(i, j) > tol {
+		for _, c := range t.rowBasics[i] {
+			if forbidden(c.i, c.j) && t.flowAt(c.i, c.j) > tol {
 				return &TransportSolution{Status: StatusInfeasible, Iterations: t.iterations}
 			}
 		}
@@ -196,17 +272,28 @@ func finishTransport(t *transportTableau, p TransportProblem, prep *transportPre
 	// out of the basis tree before reading the duals off it.
 	t.evictForbidden(forbidden)
 
+	if len(w.flowRows) != m || len(w.duals) != m+n {
+		w.flows = make([]float64, m*n)
+		w.flowRows = make([][]float64, m)
+		for i := range w.flowRows {
+			w.flowRows[i] = w.flows[i*n : (i+1)*n : (i+1)*n]
+		}
+		w.duals = make([]float64, m+n)
+	} else {
+		clear(w.flows)
+	}
 	u, v := t.potentials()
 	// Normalize the dual gauge so the dummy source's potential is zero:
 	// slack sinks (fed by the dummy at cost 0) then get dual exactly 0 and
 	// -v_j is directly sink j's shadow price.
 	shift := u[t.dummy]
-	sol := &TransportSolution{
+	sol := &w.sol
+	*sol = TransportSolution{
 		Status:     StatusOptimal,
-		Flow:       make([][]float64, m),
+		Flow:       w.flowRows,
 		Iterations: t.iterations,
-		DualSupply: make([]float64, m),
-		DualDemand: make([]float64, n),
+		DualSupply: w.duals[:m:m],
+		DualDemand: w.duals[m:],
 	}
 	for i := 0; i < m; i++ {
 		sol.DualSupply[i] = (u[i] - shift) * prep.scale
@@ -216,16 +303,17 @@ func finishTransport(t *transportTableau, p TransportProblem, prep *transportPre
 	}
 	obj := 0.0
 	for i := 0; i < m; i++ {
-		sol.Flow[i] = make([]float64, n)
-		row := t.flow[i*n:]
-		for j := 0; j < n; j++ {
-			f := row[j]
-			if f < eps || forbidden(i, j) {
-				f = 0 // forbidden residues are ≤ tol by the check above
+		cs := append(w.sorted[:0], t.rowBasics[i]...)
+		slices.SortFunc(cs, func(a, b cell) int { return a.j - b.j })
+		w.sorted = cs
+		for _, c := range cs {
+			f := t.flowAt(i, c.j)
+			if f < eps || forbidden(i, c.j) {
+				continue // forbidden residues are ≤ tol by the check above
 			}
-			sol.Flow[i][j] = f
+			sol.Flow[i][c.j] = f
 			if f > 0 {
-				obj += f * p.Cost[i][j]
+				obj += f * p.Cost[i][c.j]
 			}
 		}
 	}
@@ -301,6 +389,29 @@ func newTransportTableau(prep *transportPrep) *transportTableau {
 		deg:       ints[nodes : 2*nodes],
 		nodes:     ints[2*nodes : 2*nodes],
 	}
+}
+
+// reset empties the basis for a new solve of the same shape on prep. Flow
+// and basis membership are nonzero only on basic cells, so clearing those
+// and zeroing the potentials restores the state newTransportTableau starts
+// from; the traversal scratch is overwritten before every read.
+func (t *transportTableau) reset(prep *transportPrep) {
+	for k, cs := range t.rowBasics {
+		for _, c := range cs {
+			i := t.idx(c)
+			t.basic[i] = false
+			t.flow[i] = 0
+		}
+		t.rowBasics[k] = cs[:0]
+	}
+	for k, cs := range t.colBasics {
+		t.colBasics[k] = cs[:0]
+	}
+	clear(t.u)
+	clear(t.v)
+	t.nbasic, t.iterations = 0, 0
+	t.dummy, t.tol = prep.dummy, prep.tol
+	t.supply, t.demand, t.cost = prep.supply, prep.demand, prep.cost
 }
 
 func (t *transportTableau) idx(c cell) int { return c.i*t.n + c.j }
@@ -742,16 +853,18 @@ func (t *transportTableau) optimize() error {
 		enter := cell{-1, -1}
 		useBland := stall >= blandTrigger
 		best := -eps
+		n := t.n
+		v = v[:n]
 	scan:
 		for i := 0; i < t.m; i++ {
 			ui := u[i]
-			row := t.cost[i]
-			bas := t.basic[i*t.n:]
-			for j := 0; j < t.n; j++ {
+			row := t.cost[i][:n]
+			bas := t.basic[i*n : (i+1)*n]
+			for j, c := range row {
 				if bas[j] {
 					continue
 				}
-				r := row[j] - ui - v[j]
+				r := c - ui - v[j]
 				if useBland {
 					if r < -eps {
 						enter = cell{i, j}
