@@ -46,7 +46,10 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzSolveTransport$$' -fuzztime $(FUZZTIME) ./internal/lp
 	go test -run '^$$' -fuzz '^FuzzSimplexModel$$' -fuzztime $(FUZZTIME) ./internal/lp
 	go test -run '^$$' -fuzz '^FuzzProtoRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/proto
+	go test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/proto
+	go test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/proto
 	go test -run '^$$' -fuzz '^FuzzRouteCacheEquivalence$$' -fuzztime $(FUZZTIME) ./internal/core
+	go test -run '^$$' -fuzz '^FuzzRouteRowRepair$$' -fuzztime $(FUZZTIME) ./internal/graph
 	go test -run '^$$' -fuzz '^FuzzSnappyRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/databus
 	go test -run '^$$' -fuzz '^FuzzDownsample$$' -fuzztime $(FUZZTIME) ./internal/tsdb
 	go test -run '^$$' -fuzz '^FuzzProbeRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/probe

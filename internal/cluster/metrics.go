@@ -238,6 +238,10 @@ func (mm *managerMetrics) bindGauges(reg *obs.Registry, db *NMDB, planner *core.
 		"route-cache rows dropped by targeted invalidation", func() float64 {
 			return float64(planner.Cache().Stats().Evicted)
 		})
+	reg.GaugeFunc("dust_route_rows_repaired_total",
+		"evicted route-cache rows rebuilt by repair instead of recomputation", func() float64 {
+			return float64(planner.Cache().Stats().Repaired)
+		})
 	reg.GaugeFunc("dust_route_cache_flushes",
 		"route-cache whole-cache resets", func() float64 {
 			return float64(planner.Cache().Stats().Flushes)

@@ -109,6 +109,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		"dust_manager_placement_unplaced_total":                   float64(unplaced),
 		"dust_manager_placement_abandoned_total":                  float64(abandoned),
 		"dust_nmdb_clients":                                       4,
+		"dust_route_rows_repaired_total":                          0,
 	} {
 		if got := scrapeValue(t, body, series); got != want {
 			t.Errorf("%s = %g, want %g", series, got, want)

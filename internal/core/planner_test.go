@@ -223,8 +223,9 @@ func TestPlannerResultOutlivesNextRound(t *testing.T) {
 	// The dearer link lies on a route of the last busy node's cache row.
 	changed := busy[0]
 	var edge graph.EdgeID = -1
-	for _, p := range pl.cache.rows[busy[len(busy)-1]].paths {
-		if len(p.Edges) > 0 {
+	last := pl.cache.rows[busy[len(busy)-1]].tree
+	for v := range g.NumNodes() {
+		if p := last.Path(v); len(p.Edges) > 0 {
 			edge = p.Edges[0]
 			break
 		}

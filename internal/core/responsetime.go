@@ -74,11 +74,17 @@ type RouteTable struct {
 	Seconds [][]float64
 	// PathsExplored counts enumerated simple paths (PathEnumerate only).
 	PathsExplored int
-	// paths[bi] holds busy row bi's minimum-response-time path to each
-	// node, indexed by node ID. Rows are shared with the route cache and
-	// never written after assembly, so a table costs no per-cell path
-	// copies.
-	paths [][]graph.Path
+	// rows[bi] holds busy row bi's minimum-response-time routes to every
+	// node. Rows are shared with the route cache and never written after
+	// assembly, so a table costs no per-cell path copies.
+	rows []routeRow
+}
+
+// routeRow is one busy row's routes: the shortest-path tree under
+// unbounded hops with PathDP, explicit paths indexed by node ID otherwise.
+type routeRow struct {
+	tree  *graph.Tree
+	paths []graph.Path
 }
 
 // Route returns the minimum-response-time path between Busy[bi] and
@@ -87,7 +93,10 @@ func (rt *RouteTable) Route(bi, cj int) graph.Path {
 	if math.IsInf(rt.Seconds[bi][cj], 1) {
 		return graph.Path{}
 	}
-	return rt.paths[bi][rt.Candidates[cj]]
+	if t := rt.rows[bi].tree; t != nil {
+		return t.Path(rt.Candidates[cj])
+	}
+	return rt.rows[bi].paths[rt.Candidates[cj]]
 }
 
 // ComputeRoutes builds the route table for the classified state.
@@ -112,7 +121,7 @@ func ComputeRoutes(s *State, c *Classification, p Params) (*RouteTable, error) {
 		Busy:       c.Busy,
 		Candidates: c.Candidates,
 		Seconds:    make([][]float64, len(c.Busy)),
-		paths:      make([][]graph.Path, len(c.Busy)),
+		rows:       make([]routeRow, len(c.Busy)),
 	}
 	w := p.CostVector(s.G)
 	explored := make([]int, len(c.Busy))
@@ -173,7 +182,8 @@ func computeRouteRow(s *State, c *Classification, rt *RouteTable, bi int, p Para
 	switch p.PathStrategy {
 	case PathEnumerate:
 		cost := func(e graph.Edge) float64 { return w[e.ID] }
-		rt.paths[bi] = make([]graph.Path, s.G.NumNodes())
+		routes := make([]graph.Path, s.G.NumNodes())
+		rt.rows[bi].paths = routes
 		for cj, cand := range c.Candidates {
 			paths := graph.AllSimplePaths(s.G, b, cand, p.MaxHops, 0)
 			explored += len(paths)
@@ -196,16 +206,21 @@ func computeRouteRow(s *State, c *Classification, rt *RouteTable, bi int, p Para
 					best, bestPath = t, path
 				}
 			}
-			secs[cj], rt.paths[bi][cand] = best, bestPath
+			secs[cj], routes[cand] = best, bestPath
 		}
 	case PathDP:
-		dist, paths := sc.ShortestPaths(s.G, b, p.MaxHops, w)
+		var dist []float64
+		if graph.UnboundedHops(p.MaxHops, s.G.NumNodes()) {
+			t := sc.ShortestTree(s.G, b, w)
+			dist, rt.rows[bi].tree = t.Dist(), t
+		} else {
+			dist, rt.rows[bi].paths = sc.ShortestPaths(s.G, b, p.MaxHops, w)
+		}
 		for cj, cand := range c.Candidates {
 			if !math.IsInf(dist[cand], 1) {
 				secs[cj] = data * dist[cand]
 			}
 		}
-		rt.paths[bi] = paths
 	}
 	rt.Seconds[bi] = secs
 	return explored, nil

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/graph"
 )
@@ -41,11 +42,21 @@ import (
 // table a cold solve would. Sub-ε drift accumulates against the snapshot,
 // so a slow ramp still evicts once it crosses ε in total.
 //
+// Under unbounded hops a row is a graph.Tree, and an evicted row is
+// repaired rather than recomputed when its source is busy in the same
+// round: DPScratch.RepairTree re-derives it from the edges whose cost
+// differs from the cost vector the row was built under, into the row a
+// cold computation would return at the round's costs. Evicted rows no busy
+// source claims are dropped when the round ends.
+//
 // Only the PathDP strategy is cached (exhaustive enumeration is dominated
 // by per-pair path explosion by design); other strategies pass through to
 // ComputeRoutes, which still fans out across the worker pool.
 type RouteCache struct {
 	params Params
+
+	// scratch pools the route workers' DP buffers across rounds.
+	scratch sync.Pool
 
 	mu sync.Mutex
 	// The cache is valid for one (graph instance, version) pair: version
@@ -85,10 +96,15 @@ type lastTable struct {
 
 // cacheRow is one source's per-unit (per-Mb) route computation.
 type cacheRow struct {
-	dist  []float64
+	dist []float64
+	// tree holds the routes under unbounded hops, paths under a hop bound.
+	tree  *graph.Tree
 	paths []graph.Path
-	// used marks the edges on some cached optimal path: a dearer edge
-	// evicts exactly the rows that use it.
+	// w is the cost vector the row was computed under, shared read-only
+	// with the other rows of that round; a repair diffs against it.
+	w []float64
+	// used marks, under a hop bound, the edges on some cached optimal
+	// path: a dearer edge evicts exactly the rows that use it (see uses).
 	used []bool
 	// frontier marks the edges within the hop bound of the source, which a
 	// cheaper edge must lie in to evict the row. Nil under unbounded hops,
@@ -105,6 +121,9 @@ type CacheStats struct {
 	// Evicted counts rows dropped by targeted invalidation; Flushes counts
 	// whole-cache resets (new graph instance or structural change).
 	Evicted, Flushes int
+	// Repaired counts the misses served by repairing a row evicted in the
+	// same round (each also counts as Evicted and as a Miss).
+	Repaired int
 }
 
 // NewRouteCache creates an empty cache with fixed parameters.
@@ -144,20 +163,27 @@ func (rc *RouteCache) ComputeRoutes(s *State, c *Classification) (*RouteTable, e
 	rc.mu.Lock()
 	var mver uint64
 	rc.rates, mver = rc.params.edgeRates(s.G, rc.rates)
-	rc.revalidate(s.G, rc.rates, mver)
+	evicted := rc.revalidate(s.G, rc.rates, mver)
 	version := rc.version
 	entries := make([]*cacheRow, len(c.Busy))
-	var missing []int // indices into c.Busy
+	var missing []int    // indices into c.Busy
+	var prev []*cacheRow // per missing row: the evicted row to repair, or nil
 	for bi, b := range c.Busy {
 		if row, ok := rc.rows[b]; ok {
 			entries[bi] = row
 			rc.st.Hits++
-		} else {
-			missing = append(missing, bi)
-			rc.st.Misses++
+			continue
 		}
+		missing = append(missing, bi)
+		rc.st.Misses++
+		old := evicted[b]
+		if old != nil {
+			rc.st.Repaired++
+		}
+		prev = append(prev, old)
 	}
-	// The round's cost vector, shared read-only by every worker.
+	// The round's cost vector, shared read-only by every worker and kept
+	// by the rows built under it.
 	var w []float64
 	if len(missing) > 0 {
 		w = make([]float64, len(rc.rates))
@@ -169,7 +195,7 @@ func (rc *RouteCache) ComputeRoutes(s *State, c *Classification) (*RouteTable, e
 
 	var fresh []*cacheRow
 	if len(missing) > 0 {
-		fresh = rc.computeRows(s.G, c.Busy, missing, w)
+		fresh = rc.computeRows(s.G, c.Busy, missing, prev, w)
 	}
 
 	rc.mu.Lock()
@@ -186,57 +212,62 @@ func (rc *RouteCache) ComputeRoutes(s *State, c *Classification) (*RouteTable, e
 	return rc.assemble(s, c, entries)
 }
 
-// computeRows computes the rows of the busy nodes at the missing indices
-// under the round's cost vector w, fanned out across the worker pool.
-func (rc *RouteCache) computeRows(g *graph.Graph, busy, missing []int, w []float64) []*cacheRow {
+// computeRows builds the rows of the busy nodes at the missing indices
+// under the round's cost vector w, fanned out across the worker pool: a
+// repair of prev[mi] where there is one, a cold computation otherwise.
+// Workers claim rows from a shared counter, the calling goroutine among
+// them, and take their scratch from the cache's pool, so a round of
+// microsecond repairs pays neither a channel hand-off per row nor fresh
+// buffers per worker.
+func (rc *RouteCache) computeRows(g *graph.Graph, busy, missing []int, prev []*cacheRow, w []float64) []*cacheRow {
 	fresh := make([]*cacheRow, len(missing))
-	workers := rc.params.routeWorkers(len(missing))
-	if workers <= 1 {
-		sc := &graph.DPScratch{}
-		for mi, bi := range missing {
-			fresh[mi] = rc.computeRow(g, busy[bi], w, sc)
+	var next atomic.Int64
+	work := func() {
+		sc, _ := rc.scratch.Get().(*graph.DPScratch)
+		if sc == nil {
+			sc = new(graph.DPScratch)
 		}
-		return fresh
+		for mi := int(next.Add(1) - 1); mi < len(missing); mi = int(next.Add(1) - 1) {
+			fresh[mi] = rc.computeRow(g, busy[missing[mi]], prev[mi], w, sc)
+		}
+		rc.scratch.Put(sc)
 	}
-	work := make(chan int)
 	var wg sync.WaitGroup
-	for range workers {
+	for range rc.params.routeWorkers(len(missing)) - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := &graph.DPScratch{}
-			for mi := range work {
-				fresh[mi] = rc.computeRow(g, busy[missing[mi]], w, sc)
-			}
+			work()
 		}()
 	}
-	for mi := range missing {
-		work <- mi
-	}
-	close(work)
+	work()
 	wg.Wait()
 	return fresh
 }
 
-// unboundedHops reports whether a hop bound lets the DP run to
-// convergence on an n-node graph.
-func unboundedHops(maxHops, n int) bool { return maxHops <= 0 || maxHops >= n }
-
-// computeRow runs the hop-bounded DP for one source under the round's cost
-// vector w and derives its invalidation data.
-func (rc *RouteCache) computeRow(g *graph.Graph, src int, w []float64, sc *graph.DPScratch) *cacheRow {
-	dist, paths := sc.ShortestPaths(g, src, rc.params.MaxHops, w)
-	row := &cacheRow{dist: dist, paths: paths, used: make([]bool, g.NumEdges())}
-	for _, p := range paths {
+// computeRow computes src's row under the round's cost vector w and
+// derives its invalidation data: under unbounded hops by repairing prev
+// when there is one, otherwise with the DP.
+func (rc *RouteCache) computeRow(g *graph.Graph, src int, prev *cacheRow, w []float64, sc *graph.DPScratch) *cacheRow {
+	row := &cacheRow{w: w}
+	if graph.UnboundedHops(rc.params.MaxHops, g.NumNodes()) {
+		if prev != nil {
+			row.tree = sc.RepairTree(prev.tree, prev.w, w)
+		} else {
+			row.tree = sc.ShortestTree(g, src, w)
+		}
+		row.dist = row.tree.Dist()
+		row.slack = roundingSlack(row.dist)
+		return row
+	}
+	row.dist, row.paths = sc.ShortestPaths(g, src, rc.params.MaxHops, w)
+	row.used = make([]bool, g.NumEdges())
+	for _, p := range row.paths {
 		for _, id := range p.Edges {
 			row.used[id] = true
 		}
 	}
-	if unboundedHops(rc.params.MaxHops, g.NumNodes()) {
-		row.slack = roundingSlack(dist)
-	} else {
-		row.frontier = graph.EdgeFrontier(g, src, rc.params.MaxHops)
-	}
+	row.frontier = graph.EdgeFrontier(g, src, rc.params.MaxHops)
 	return row
 }
 
@@ -268,11 +299,19 @@ func (row *cacheRow) mayImprove(e graph.Edge, w float64) bool {
 		!math.IsInf(dv, 1) && dv+w <= du+row.slack
 }
 
+// uses reports whether some cached path traverses edge i.
+func (row *cacheRow) uses(i int) bool {
+	if row.tree != nil {
+		return row.tree.Uses(graph.EdgeID(i))
+	}
+	return row.used[i]
+}
+
 // stale reports whether the edges that got cheaper or dearer beyond ε can
 // change the row. rates holds the edges' current effective rates.
 func (row *cacheRow) stale(g *graph.Graph, cheaper, dearer []int, rates []float64) bool {
 	for _, i := range dearer {
-		if row.used[i] {
+		if row.uses(i) {
 			return true
 		}
 	}
@@ -290,9 +329,10 @@ func (row *cacheRow) stale(g *graph.Graph, cheaper, dearer []int, rates []float6
 
 // revalidate brings the cache up to the graph's current generation and
 // the measurement overlay version mver, whose effective rates per edge are
-// rates, evicting exactly the rows the drift can affect. Called with rc.mu
-// held.
-func (rc *RouteCache) revalidate(g *graph.Graph, rates []float64, mver uint64) {
+// rates, evicting exactly the rows the drift can affect. Under unbounded
+// hops it returns the evicted rows by source, for repair. Called with
+// rc.mu held.
+func (rc *RouteCache) revalidate(g *graph.Graph, rates []float64, mver uint64) map[int]*cacheRow {
 	if g != rc.g || len(rc.lu) != len(rates) {
 		// New graph instance or structural change: full reset.
 		rc.g = g
@@ -301,10 +341,10 @@ func (rc *RouteCache) revalidate(g *graph.Graph, rates []float64, mver uint64) {
 		rc.lu = append(rc.lu[:0], rates...)
 		rc.rows = make(map[int]*cacheRow)
 		rc.st.Flushes++
-		return
+		return nil
 	}
 	if g.Version() == rc.version && mver == rc.mver {
-		return
+		return nil
 	}
 	eps := rc.params.CacheEpsilon
 	var cheaper, dearer []int // edge IDs whose per-hop cost dropped / rose beyond ε
@@ -326,14 +366,23 @@ func (rc *RouteCache) revalidate(g *graph.Graph, rates []float64, mver uint64) {
 	rc.version = g.Version()
 	rc.mver = mver
 	if len(cheaper) == 0 && len(dearer) == 0 {
-		return
+		return nil
 	}
+	repairable := graph.UnboundedHops(rc.params.MaxHops, g.NumNodes())
+	var evicted map[int]*cacheRow
 	for src, row := range rc.rows {
 		if row.stale(g, cheaper, dearer, rates) {
 			delete(rc.rows, src)
 			rc.st.Evicted++
+			if repairable {
+				if evicted == nil {
+					evicted = make(map[int]*cacheRow)
+				}
+				evicted[src] = row
+			}
 		}
 	}
+	return evicted
 }
 
 // assemble scales the per-unit rows by each busy node's effective data
@@ -346,7 +395,7 @@ func (rc *RouteCache) assemble(s *State, c *Classification, entries []*cacheRow)
 		Busy:       c.Busy,
 		Candidates: c.Candidates,
 		Seconds:    make([][]float64, len(c.Busy)),
-		paths:      make([][]graph.Path, len(c.Busy)),
+		rows:       make([]routeRow, len(c.Busy)),
 	}
 	last := &rc.last
 	reuse := slices.Equal(last.cands, c.Candidates)
@@ -357,7 +406,7 @@ func (rc *RouteCache) assemble(s *State, c *Classification, entries []*cacheRow)
 			return nil, fmt.Errorf("core: busy node %d has negative data volume", b)
 		}
 		row := entries[bi]
-		rt.paths[bi] = row.paths
+		rt.rows[bi] = routeRow{tree: row.tree, paths: row.paths}
 		if reuse {
 			for k < len(last.busy) && last.busy[k] < b {
 				k++

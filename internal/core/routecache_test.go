@@ -189,6 +189,57 @@ func TestRouteCacheTargetedInvalidation(t *testing.T) {
 	}
 }
 
+// TestRouteCacheRepairsEvictedRows: under unbounded hops a row evicted in
+// a round where its source is busy is repaired into the cold row, and
+// counts as Evicted, as a Miss and as Repaired; a row evicted while its
+// source is not busy is dropped with the round, so the source's next miss
+// is cold. Under a hop bound nothing is repaired.
+func TestRouteCacheRepairsEvictedRows(t *testing.T) {
+	g := graph.Line(10, 1000)
+	for i := 0; i < g.NumEdges(); i++ {
+		g.SetUtilization(graph.EdgeID(i), 0.5)
+	}
+	s := NewState(g)
+	for i := range s.DataMb {
+		s.DataMb[i] = 1
+	}
+	both := &Classification{Busy: []int{0, 9}, Candidates: []int{3, 6}}
+	only0 := &Classification{Busy: []int{0}, Candidates: []int{3, 6}}
+	p := Params{RateModel: RateUtilized, PathStrategy: PathDP}
+	rc := NewRouteCache(p)
+	round := func(c *Classification, label string, want CacheStats) {
+		t.Helper()
+		got, err := rc.ComputeRoutes(s, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := ComputeRoutes(s, c, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		routeTablesIdentical(t, cold, got, label)
+		if st := rc.Stats(); st != want {
+			t.Fatalf("%s: stats %+v, want %+v", label, st, want)
+		}
+	}
+	round(both, "cold", CacheStats{Misses: 2, Flushes: 1})
+	// Edge 4 (4-5) is on both rows' routes: dearer, it evicts both, and
+	// both sources are busy, so both rows are repaired.
+	g.SetUtilization(4, 0.25)
+	round(both, "dearer", CacheStats{Misses: 4, Evicted: 2, Flushes: 1, Repaired: 2})
+	// Cheaper again it evicts both, but only node 0 is busy: row 9 is
+	// dropped, and its next miss is cold.
+	g.SetUtilization(4, 0.5)
+	round(only0, "cheaper", CacheStats{Misses: 5, Evicted: 4, Flushes: 1, Repaired: 3})
+	round(both, "row 9 back", CacheStats{Hits: 1, Misses: 6, Evicted: 4, Flushes: 1, Repaired: 3})
+
+	p.MaxHops = 5
+	rc = NewRouteCache(p)
+	round(both, "bounded cold", CacheStats{Misses: 2, Flushes: 1})
+	g.SetUtilization(4, 0.25)
+	round(both, "bounded dearer", CacheStats{Misses: 4, Evicted: 2, Flushes: 1})
+}
+
 // TestRouteCacheMeasuredRevalidation checks the measured-costs loop: a
 // probe-reported congestion shifts an edge's effective rate, which must
 // evict exactly the rows that edge can affect (no graph mutation, no full

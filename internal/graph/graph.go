@@ -92,8 +92,11 @@ type NodeInfo struct {
 type Graph struct {
 	nodes []NodeInfo
 	edges []Edge
-	// adj[n] lists the IDs of edges incident to node n.
-	adj [][]EdgeID
+	// adj[n] lists the IDs of edges incident to node n, and ends[n][k] is
+	// the far endpoint of edge adj[n][k], so route passes walk a node's
+	// neighbours without loading the edges.
+	adj  [][]EdgeID
+	ends [][]int
 	// version increments on every structural or utilization mutation; route
 	// caches key on it.
 	version uint64
@@ -104,6 +107,7 @@ func New(n int) *Graph {
 	g := &Graph{
 		nodes: make([]NodeInfo, n),
 		adj:   make([][]EdgeID, n),
+		ends:  make([][]int, n),
 	}
 	for i := range g.nodes {
 		g.nodes[i] = NodeInfo{Name: fmt.Sprintf("n%d", i), Pod: -1}
@@ -149,6 +153,8 @@ func (g *Graph) AddEdge(u, v int, capMbps float64) EdgeID {
 	g.edges = append(g.edges, Edge{ID: id, U: u, V: v, CapMbps: capMbps})
 	g.adj[u] = append(g.adj[u], id)
 	g.adj[v] = append(g.adj[v], id)
+	g.ends[u] = append(g.ends[u], v)
+	g.ends[v] = append(g.ends[v], u)
 	g.version++
 	return id
 }
@@ -293,12 +299,14 @@ func (g *Graph) Clone() *Graph {
 		nodes:   make([]NodeInfo, len(g.nodes)),
 		edges:   make([]Edge, len(g.edges)),
 		adj:     make([][]EdgeID, len(g.adj)),
+		ends:    make([][]int, len(g.ends)),
 		version: g.version,
 	}
 	copy(ng.nodes, g.nodes)
 	copy(ng.edges, g.edges)
 	for i, a := range g.adj {
 		ng.adj[i] = append([]EdgeID(nil), a...)
+		ng.ends[i] = append([]int(nil), g.ends[i]...)
 	}
 	return ng
 }

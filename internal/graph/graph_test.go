@@ -542,17 +542,55 @@ func TestHopBoundedShortestMatchesEnumeration(t *testing.T) {
 	}
 }
 
+// dijkstra is the textbook single-source minimum cost with no hop bound,
+// kept as the oracle of TestDijkstraMatchesUnboundedDP. Costs must be
+// nonnegative; unreachable nodes get +Inf.
+func dijkstra(g *Graph, src int, costFn EdgeCost) []float64 {
+	n := g.NumNodes()
+	dist := make([]float64, n)
+	done := make([]bool, n)
+	for i := range dist {
+		dist[i] = math.Inf(1)
+	}
+	dist[src] = 0
+	h := &costHeap{items: []costItem{{node: src, cost: 0}}}
+	for h.Len() > 0 {
+		it := h.pop()
+		if done[it.node] {
+			continue
+		}
+		done[it.node] = true
+		for _, id := range g.Incident(it.node) {
+			e := g.Edge(id)
+			c := costFn(e)
+			if math.IsInf(c, 1) {
+				continue
+			}
+			m := e.Other(it.node)
+			if nd := it.cost + c; nd < dist[m] {
+				dist[m] = nd
+				h.push(costItem{node: m, cost: nd})
+			}
+		}
+	}
+	return dist
+}
+
+// TestDijkstraMatchesUnboundedDP: the unbounded-hop row's dist is the
+// least walk sum whatever the relaxation order, so the textbook Dijkstra
+// and the bounded layered DP run to n hops agree with it bit for bit.
 func TestDijkstraMatchesUnboundedDP(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 10; trial++ {
 		g := RandomConnected(12, 0.25, 100, rng)
 		RandomizeUtilization(g, 0, 0.95, rng)
 		cost := InverseRateCost(func(e Edge) float64 { return e.AvailableMbps() })
-		dj := Dijkstra(g, 0, cost)
+		dj := dijkstra(g, 0, cost)
 		dp, _ := HopBoundedShortest(g, 0, g.NumNodes(), cost)
+		layered, _ := HopBoundedShortest(g, 0, g.NumNodes()-1, cost)
 		for v := range dj {
-			if math.Abs(dj[v]-dp[v]) > 1e-9 {
-				t.Fatalf("trial %d node %d: dijkstra %g, dp %g", trial, v, dj[v], dp[v])
+			if math.Float64bits(dj[v]) != math.Float64bits(dp[v]) || math.Float64bits(dj[v]) != math.Float64bits(layered[v]) {
+				t.Fatalf("trial %d node %d: dijkstra %g, row %g, layered dp %g", trial, v, dj[v], dp[v], layered[v])
 			}
 		}
 	}

@@ -246,6 +246,20 @@ type DPScratch struct {
 	// rev[start[v]:start[v+1]].
 	rev   []EdgeID
 	start []int
+
+	// The unbounded-hop row (tree.go): per-node depth, tree edge and
+	// pass flags; the nodes by depth; the FIFO of the settle and depth
+	// passes; a repair's worklists (subtree, roots, nodes whose dist or
+	// depth moved) and the edges whose cost it found changed.
+	hops    []int
+	parent  []EdgeID
+	flags   []uint8
+	order   []int
+	fifo    []int
+	queue   []int
+	roots   []int
+	touched []int
+	changed []EdgeID
 }
 
 // buffers sizes the per-node buffers for n nodes.
@@ -272,16 +286,20 @@ func (sc *DPScratch) layer(h, n int) []EdgeID {
 	return sc.pred[h*n : (h+1)*n]
 }
 
-// ShortestPaths computes, with a Bellman–Ford-style dynamic program, the
-// minimum path cost from src to every node using at most maxHops edges
-// (maxHops <= 0 or > N means N), under the per-edge cost vector w indexed
-// by EdgeID (see CostVector). Costs must be nonnegative, +Inf marking an
+// ShortestPaths computes the minimum path cost from src to every node
+// using at most maxHops edges, under the per-edge cost vector w indexed by
+// EdgeID (see CostVector). Costs must be nonnegative, +Inf marking an
 // impassable edge; an optimal bounded walk is then a simple path. It
 // returns dist (+Inf if unreachable within the bound) and the realizing
 // path per node. The returned slices are freshly allocated — callers may
 // retain them (route caches do) across further calls on the same scratch.
 // All paths of one call share a single edge arena, each path capped at its
 // own length, so a source costs a constant number of allocations.
+//
+// Under unbounded hops (UnboundedHops) it returns the paths of the
+// shortest-path-tree row defined in tree.go (ShortestTree returns the row
+// itself, which RepairTree brings up to date after cost changes). Under a
+// hop bound it runs the Bellman–Ford-style layered DP below.
 //
 // The recurrence is that of relaxing every edge, in ascending EdgeID
 // order with a strict <, on every layer — but layer h relaxes only the
@@ -301,8 +319,9 @@ func (sc *DPScratch) layer(h, n int) []EdgeID {
 // summation order matches, so Path.Cost reproduces dist bit for bit.
 func (sc *DPScratch) ShortestPaths(g *Graph, src, maxHops int, w []float64) ([]float64, []Path) {
 	n := g.NumNodes()
-	if maxHops <= 0 || maxHops > n {
-		maxHops = n
+	if UnboundedHops(maxHops, n) {
+		sc.tree(g, src, w)
+		return sc.treePaths(g, src)
 	}
 	sc.buffers(n)
 	cur, next, moved := sc.cur[:n], sc.next[:n], sc.moved[:n]
@@ -430,39 +449,6 @@ func EdgeFrontier(g *Graph, src, maxHops int) []bool {
 		}
 	}
 	return out
-}
-
-// Dijkstra computes single-source minimum costs with no hop bound.
-// Costs must be nonnegative. Unreachable nodes get +Inf.
-func Dijkstra(g *Graph, src int, costFn EdgeCost) []float64 {
-	n := g.NumNodes()
-	dist := make([]float64, n)
-	done := make([]bool, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	dist[src] = 0
-	h := &costHeap{items: []costItem{{node: src, cost: 0}}}
-	for h.Len() > 0 {
-		it := h.pop()
-		if done[it.node] {
-			continue
-		}
-		done[it.node] = true
-		for _, id := range g.Incident(it.node) {
-			e := g.Edge(id)
-			c := costFn(e)
-			if math.IsInf(c, 1) {
-				continue
-			}
-			m := e.Other(it.node)
-			if nd := it.cost + c; nd < dist[m] {
-				dist[m] = nd
-				h.push(costItem{node: m, cost: nd})
-			}
-		}
-	}
-	return dist
 }
 
 type costItem struct {
