@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -133,9 +134,11 @@ const seenWindow = 4096
 // dupFilter remembers the last seenWindow accepted sequence numbers in a
 // ring that grows to seenWindow entries and then overwrites its oldest, so
 // a client's memory stays fixed however long it runs. Manager sequence
-// numbers are globally monotonic: a seq above every accepted one cannot be
-// in the ring and is accepted without a scan; only a replayed or reordered
-// seq pays for one.
+// numbers are monotonic per manager: a seq above every accepted one cannot
+// be in the ring and is accepted without a scan; only a replayed or
+// reordered seq pays for one. A replay never crosses links, and a new
+// manager incarnation numbers from 1 again, so the filter covers one
+// link: it is reset when a handshake succeeds.
 type dupFilter struct {
 	ring []uint64
 	next int    // slot the next accepted seq overwrites once the ring is full
@@ -163,6 +166,13 @@ func (f *dupFilter) duplicate(seq uint64) bool {
 	return false
 }
 
+// reset forgets every accepted seq, keeping the ring's storage.
+func (f *dupFilter) reset() {
+	f.ring = f.ring[:0]
+	f.next = 0
+	f.max = 0
+}
+
 // Client is the per-device DUST agent.
 type Client struct {
 	cfg       ClientConfig
@@ -175,12 +185,18 @@ type Client struct {
 	// lock order is repMu before mu.
 	repMu    sync.Mutex
 	reporter *report.Reporter
+	stat     proto.Message // the STAT being sent; guarded by repMu
+
+	// rx and ack belong to the goroutine calling Step: rx is every
+	// received frame, ack the Offload-ACK answering one.
+	rx, ack proto.Message
 
 	conn proto.Conn
+	// seq numbers every outgoing frame.
+	seq atomic.Uint64
 
 	mu             sync.Mutex
 	rng            *rand.Rand
-	seq            uint64
 	updateInterval float64
 	hosting        map[int]float64 // busy node -> hosted percentage
 	seen           dupFilter
@@ -259,6 +275,9 @@ func (c *Client) logf(format string, args ...any) {
 // Handshake registers with the manager (Offload-capable → ACK) and adopts
 // the assigned Update-Interval. An ACK carrying an Error is the manager's
 // NACK: registration was rejected and the reason is surfaced verbatim.
+// A successful handshake starts a new link, so it resets the duplicate
+// filter: the manager behind it may be a fresh incarnation numbering its
+// frames from 1.
 func (c *Client) Handshake() error {
 	conn := c.current()
 	err := conn.Send(&proto.Message{
@@ -281,6 +300,7 @@ func (c *Client) Handshake() error {
 	}
 	c.mu.Lock()
 	c.updateInterval = ack.UpdateIntervalSec
+	c.seen.reset()
 	c.mu.Unlock()
 	return nil
 }
@@ -311,12 +331,7 @@ func (c *Client) IsDestination() bool {
 	return len(c.hosting) > 0
 }
 
-func (c *Client) nextSeq() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.seq++
-	return c.seq
-}
+func (c *Client) nextSeq() uint64 { return c.seq.Add(1) }
 
 // SendStat runs one reporting interval: it reads current resources and
 // applies the reporting policy (DESIGN.md §16). The interval either ships
@@ -324,11 +339,13 @@ func (c *Client) nextSeq() uint64 {
 // values (proto.StatHeartbeat), or sends nothing at all. Every outgoing
 // frame carries the number of intervals suppressed since the previous
 // frame, so the manager can tell "unchanged" from "lost". With the zero
-// policy every interval sends, matching the pre-policy behavior.
+// policy every interval sends, matching the pre-policy behavior. The frame
+// is built in the client's own Message, so a STAT allocates nothing.
 func (c *Client) SendStat() error {
 	r := c.cfg.Resources()
 	c.repMu.Lock()
 	defer c.repMu.Unlock()
+	m := &c.stat
 	switch c.reporter.Decide(r.UtilPct, r.DataMb, int32(r.NumAgents)) {
 	case report.Suppress:
 		c.reporter.Suppressed()
@@ -336,24 +353,24 @@ func (c *Client) SendStat() error {
 		return nil
 	case report.Heartbeat:
 		util, data, agents := c.reporter.LastSent()
-		err := c.current().Send(&proto.Message{
+		*m = proto.Message{
 			Type: proto.MsgStat, From: int32(c.cfg.Node), To: ManagerNode,
 			Seq: c.nextSeq(), UtilPct: util, DataMb: data, NumAgents: agents,
 			StatHeartbeat: true, StatSuppressed: c.reporter.SuppressedSinceFrame(),
-		})
-		if err != nil {
+		}
+		if err := c.current().Send(m); err != nil {
 			return err
 		}
 		c.reporter.SentHeartbeat()
 		c.metrics.statHeartbeats.Inc()
 		return nil
 	}
-	err := c.current().Send(&proto.Message{
+	*m = proto.Message{
 		Type: proto.MsgStat, From: int32(c.cfg.Node), To: ManagerNode,
 		Seq: c.nextSeq(), UtilPct: r.UtilPct, DataMb: r.DataMb,
 		NumAgents: int32(r.NumAgents), StatSuppressed: c.reporter.SuppressedSinceFrame(),
-	})
-	if err != nil {
+	}
+	if err := c.current().Send(m); err != nil {
 		return err
 	}
 	c.reporter.Sent(r.UtilPct, r.DataMb, int32(r.NumAgents))
@@ -391,8 +408,12 @@ func (c *Client) SyncHosting() error {
 
 // Step receives and processes exactly one manager message. It returns the
 // processed message (for tests/instrumentation) or the connection error.
+// Every Step receives into the same client-owned Message, so the returned
+// pointer is valid only until the next Step; the slices it references
+// (a route, say) stay valid, and callbacks may keep them. Only one
+// goroutine may call Step at a time.
 func (c *Client) Step() (*proto.Message, error) {
-	msg := new(proto.Message)
+	msg := &c.rx
 	if err := c.current().Recv(msg); err != nil {
 		return nil, err
 	}
@@ -443,10 +464,11 @@ func (c *Client) dispatch(msg *proto.Message) {
 				c.hosting[busy] = msg.AmountPct
 				c.mu.Unlock()
 			}
-			_ = c.current().Send(&proto.Message{
+			c.ack = proto.Message{
 				Type: proto.MsgOffloadAck, From: int32(c.cfg.Node), To: ManagerNode,
 				Seq: c.nextSeq(), BusyNode: msg.BusyNode, Accept: accept,
-			})
+			}
+			_ = c.current().Send(&c.ack)
 		}
 	case proto.MsgRep:
 		// The REP carries the pair's new total (what this node already
@@ -561,13 +583,22 @@ func (c *Client) runSession(ctx context.Context) error {
 	interval := c.UpdateInterval()
 	conn := c.current()
 	errCh := make(chan error, 1)
+	readerDone := make(chan struct{})
 	go func() {
+		defer close(readerDone)
 		for {
 			if _, err := c.Step(); err != nil {
 				errCh <- err
 				return
 			}
 		}
+	}()
+	// The reader receives into the client's one Message, so it must be
+	// gone before the next session's reader starts: every way out closes
+	// the connection and waits for it.
+	defer func() {
+		conn.Close()
+		<-readerDone
 	}()
 
 	statTick := time.NewTicker(time.Duration(interval * float64(time.Second)))
@@ -597,7 +628,6 @@ func (c *Client) runSession(ctx context.Context) error {
 	for {
 		select {
 		case <-ctx.Done():
-			conn.Close()
 			return ctx.Err()
 		case err := <-errCh:
 			return err

@@ -1,8 +1,12 @@
 package cluster
 
 import (
+	"context"
 	"math/rand"
 	"testing"
+	"time"
+
+	"repro/internal/proto"
 )
 
 // mapRingFilter is the client's earlier duplicate filter, kept as the
@@ -58,5 +62,71 @@ func TestDupFilterMatchesMapRing(t *testing.T) {
 		if len(got.ring) != seenWindow {
 			t.Fatalf("seed %d: ring holds %d seqs, want the full window %d", seed, len(got.ring), seenWindow)
 		}
+	}
+}
+
+// TestReconnectResetsDupFilter: a fresh manager incarnation (a promoted
+// standby, a restarted manager) numbers its frames from 1 again. An offer
+// from manager B must not be discarded as a replay because manager A once
+// sent the same seq on the link the client left; a replay on B's own link
+// still is.
+func TestReconnectResetsDupFilter(t *testing.T) {
+	ack := &proto.Message{Type: proto.MsgAck, From: ManagerNode, To: 4, Seq: 1, UpdateIntervalSec: 60}
+	offer := func(seq uint64, busy int32, amount float64) *proto.Message {
+		return &proto.Message{
+			Type: proto.MsgOffloadRequest, From: ManagerNode, To: 4, Seq: seq,
+			BusyNode: busy, AmountPct: amount, RouteNodes: []int32{busy, 4},
+		}
+	}
+	clientA, managerA := proto.Pipe(16)
+	clientB, managerB := proto.Pipe(16)
+	defer managerA.Close()
+	defer managerB.Close()
+	var hosted []int
+	cl, err := NewClient(ClientConfig{
+		Node:         4,
+		Capable:      true,
+		Resources:    func() Resources { return Resources{} },
+		OnHost:       func(busy int, _ float64, _ []int32) bool { hosted = append(hosted, busy); return true },
+		Dial:         func() (proto.Conn, error) { return clientB, nil },
+		ReconnectMin: time.Millisecond,
+		Seed:         1,
+	}, clientA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each manager's ACK is queued before the client asks for it.
+	if err := managerA.Send(ack); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Handshake(); err != nil {
+		t.Fatal(err)
+	}
+	step := func(from proto.Conn, m *proto.Message) {
+		t.Helper()
+		if err := from.Send(m); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step(managerA, offer(5, 7, 4))
+
+	clientA.Close()
+	if err := managerB.Send(ack); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.reconnect(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	step(managerB, offer(5, 9, 6))
+	step(managerB, offer(5, 9, 99)) // a replay on B's link
+
+	if len(hosted) != 2 || hosted[0] != 7 || hosted[1] != 9 {
+		t.Fatalf("OnHost calls for busy nodes %v, want [7 9]", hosted)
+	}
+	if got := cl.Hosting(); len(got) != 2 || got[7] != 4 || got[9] != 6 {
+		t.Fatalf("hosting = %v, want map[7:4 9:6]", got)
 	}
 }

@@ -147,6 +147,11 @@ type Manager struct {
 	// round is the placement round's ledger, cleared and reused by each
 	// round. Guarded by tickMu.
 	round roundLedger
+	// tx is the frame a round's offers, redirects and releases are
+	// written in. Guarded by tickMu.
+	tx outFrame
+	// seq numbers every frame the manager sends.
+	seq atomic.Uint64
 
 	mu    sync.Mutex
 	conns map[int]proto.Conn
@@ -160,7 +165,6 @@ type Manager struct {
 	// they drive the resync sweep in CheckKeepalives.
 	pairSync map[pendingKey]time.Time
 	destSync map[int]time.Time
-	seq      uint64
 	wg       sync.WaitGroup
 	closed   bool
 
@@ -713,12 +717,7 @@ func (m *Manager) Close() {
 	}
 }
 
-func (m *Manager) nextSeq() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.seq++
-	return m.seq
-}
+func (m *Manager) nextSeq() uint64 { return m.seq.Add(1) }
 
 func (m *Manager) connFor(node int) (proto.Conn, bool) {
 	m.mu.Lock()
@@ -934,10 +933,10 @@ func (m *Manager) handle(node int, msg *proto.Message) {
 		p.done <- msg.Accept
 	case proto.MsgProbe, proto.MsgProbeReply:
 		// Client-to-client relay: clients only connect to the manager, so
-		// probe frames hop through it. The frame is copied (transports and
-		// fault injectors may share message pointers) and re-sequenced
-		// from the manager's counter so client-side duplicate suppression
-		// keeps working. A disconnected target drops the probe — which is
+		// probe frames hop through it. The frame is re-sequenced from the
+		// manager's counter so client-side duplicate suppression keeps
+		// working; it is sent from the receive buffer itself, which no
+		// Send retains. A disconnected target drops the probe — which is
 		// exactly what the pinger's timeout machinery expects of a dead
 		// path.
 		conn, ok := m.connFor(int(msg.To))
@@ -945,9 +944,8 @@ func (m *Manager) handle(node int, msg *proto.Message) {
 			m.metrics.probeRelays["dropped"].Inc()
 			return
 		}
-		fwd := *msg
-		fwd.Seq = m.nextSeq()
-		if err := conn.Send(&fwd); err != nil {
+		msg.Seq = m.nextSeq()
+		if err := conn.Send(msg); err != nil {
 			m.metrics.probeRelays["dropped"].Inc()
 			return
 		}
@@ -1017,30 +1015,48 @@ func (m *Manager) handle(node int, msg *proto.Message) {
 	}
 }
 
-// sendRedirect tells the busy node to redirect a.Amount of its monitoring
-// data toward a's destination (an absolute share for that destination).
-func (m *Manager) sendRedirect(a core.Assignment) {
+// outFrame is a reusable outgoing frame: the Message a send is built in
+// and the buffer its route is written to. Conn.Send retains neither, so
+// one outFrame serves any number of sends, one at a time.
+type outFrame struct {
+	msg   proto.Message
+	route []int32
+}
+
+// wireRoute writes a's route to f's buffer as the node sequence carried on
+// the wire; assignments without an explicit route (replica substitutions)
+// degrade to the endpoint pair. The result is valid until f's next use.
+func (f *outFrame) wireRoute(a core.Assignment, g *graph.Graph) []int32 {
+	if len(a.Route.Edges) == 0 {
+		f.route = append(f.route[:0], int32(a.Busy), int32(a.Candidate))
+	} else {
+		f.route = graph.AppendNodes(f.route[:0], g, a.Route)
+	}
+	return f.route
+}
+
+// offloadRequest writes an Offload-Request to node to into f: busy's
+// workload, amount percent of it, along route. The same frame is a hosting
+// request (to the destination), a redirect (to busy itself) and, with
+// amount 0 and no route, a release.
+func (m *Manager) offloadRequest(f *outFrame, to, busy int, amount float64, route []int32) *proto.Message {
+	f.msg = proto.Message{
+		Type: proto.MsgOffloadRequest, From: ManagerNode,
+		To: int32(to), Seq: m.nextSeq(),
+		BusyNode: int32(busy), AmountPct: amount, RouteNodes: route,
+	}
+	return &f.msg
+}
+
+// sendRedirect tells the busy node, from frame f, to redirect a.Amount of
+// its monitoring data toward a's destination (an absolute share for that
+// destination).
+func (m *Manager) sendRedirect(f *outFrame, a core.Assignment) {
 	conn, ok := m.connFor(a.Busy)
 	if !ok {
 		return
 	}
-	_ = conn.Send(&proto.Message{
-		Type: proto.MsgOffloadRequest, From: ManagerNode,
-		To: int32(a.Busy), Seq: m.nextSeq(),
-		BusyNode:   int32(a.Busy),
-		AmountPct:  a.Amount,
-		RouteNodes: m.wireRoute(a),
-	})
-}
-
-// wireRoute converts an assignment's route to the node sequence carried
-// on the wire; assignments without an explicit route (replica
-// substitutions) degrade to the endpoint pair.
-func (m *Manager) wireRoute(a core.Assignment) []int32 {
-	if len(a.Route.Edges) == 0 {
-		return []int32{int32(a.Busy), int32(a.Candidate)}
-	}
-	return nodesToWire(a.Route.Nodes(m.nmdb.Topology()))
+	_ = conn.Send(m.offloadRequest(f, a.Busy, a.Busy, a.Amount, f.wireRoute(a, m.nmdb.Topology())))
 }
 
 // PlacementReport is the outcome of one placement round.
@@ -1270,9 +1286,7 @@ func (m *Manager) startRound() *roundLedger {
 	clear(rl.final)
 	clear(rl.timedOut)
 	rl.degraded = m.degradedNow(m.cfg.Now())
-	for _, a := range m.nmdb.ActiveAssignments() {
-		rl.start[pendingKey{busy: a.Busy, dest: a.Candidate}] = a
-	}
+	m.nmdb.ledgerInto(rl.start)
 	return rl
 }
 
@@ -1317,7 +1331,7 @@ func (m *Manager) finishRound(report *PlacementReport, rl *roundLedger, cls *cor
 	}
 	sortPairs(report.Accepted)
 	for _, a := range report.Accepted {
-		m.sendRedirect(a)
+		m.sendRedirect(&m.tx, a)
 	}
 
 	var drop []core.Assignment
@@ -1353,7 +1367,7 @@ func (m *Manager) finishRound(report *PlacementReport, rl *roundLedger, cls *cor
 		}
 		report.Released = append(report.Released, a)
 	}
-	m.notifyReleased(report.Released)
+	m.notifyReleased(&m.tx, report.Released)
 }
 
 func sortPairs(as []core.Assignment) {
@@ -1377,7 +1391,8 @@ func (m *Manager) silent(node int, now time.Time) bool {
 }
 
 // offerAssignments sends Offload-Requests for the assignments and collects
-// the Offload-ACK verdicts under one shared absolute deadline.
+// the Offload-ACK verdicts under one shared absolute deadline. Called with
+// tickMu held: the requests are written in m.tx.
 func (m *Manager) offerAssignments(assignments []core.Assignment) (accepted, declined, timedOut []core.Assignment) {
 	type wait struct {
 		a    core.Assignment
@@ -1394,13 +1409,8 @@ func (m *Manager) offerAssignments(assignments []core.Assignment) (accepted, dec
 		m.mu.Lock()
 		m.pending[pendingKey{busy: a.Busy, dest: a.Candidate}] = &pendingOffload{assignment: a, done: done}
 		m.mu.Unlock()
-		msg := &proto.Message{
-			Type: proto.MsgOffloadRequest, From: ManagerNode,
-			To: int32(a.Candidate), Seq: m.nextSeq(),
-			BusyNode:   int32(a.Busy),
-			AmountPct:  a.Amount,
-			RouteNodes: m.wireRoute(a),
-		}
+		f := &m.tx
+		msg := m.offloadRequest(f, a.Candidate, a.Busy, a.Amount, f.wireRoute(a, m.nmdb.Topology()))
 		if err := conn.Send(msg); err != nil {
 			m.mu.Lock()
 			delete(m.pending, pendingKey{busy: a.Busy, dest: a.Candidate})
@@ -1537,14 +1547,6 @@ func (m *Manager) resolveRetry(state *core.State, cls *core.Classification, fail
 		}
 	}
 	return next, unplaced, nil
-}
-
-func nodesToWire(nodes []int) []int32 {
-	out := make([]int32, len(nodes))
-	for i, n := range nodes {
-		out[i] = int32(n)
-	}
-	return out
 }
 
 // classify builds the role split honoring per-client threshold overrides
@@ -1712,6 +1714,9 @@ func (m *Manager) substituteDest(dest int) []Substitution {
 	m.mu.Unlock()
 	state := m.nmdb.BuildState(m.cfg.Defaults)
 	var subs []Substitution
+	// Substitution runs outside tickMu, so it writes its redirects in a
+	// frame of its own.
+	var f outFrame
 	for _, a := range displaced {
 		replica, rt, found := m.pickReplica(state, a, dest)
 		sub := Substitution{Failed: dest, Busy: a.Busy, Amount: a.Amount, Replica: replica}
@@ -1737,7 +1742,7 @@ func (m *Manager) substituteDest(dest int) []Substitution {
 				})
 				sub.Notified = err == nil
 			}
-			m.sendRedirect(na)
+			m.sendRedirect(&f, na)
 		} else {
 			sub.Replica = -1
 		}
@@ -1833,14 +1838,14 @@ func (m *Manager) ReclaimBusy(busy int) []core.Assignment {
 	}
 	released := m.nmdb.ReleaseBusy(busy)
 	m.metrics.reclaims.Add(uint64(len(released)))
-	m.notifyReleased(released)
+	m.notifyReleased(new(outFrame), released)
 	return released
 }
 
 // notifyReleased forgets the released pairs' sync stamps and tells each
-// destination to drop the hosted workload (an Offload-Request with
-// AmountPct 0 is the release instruction).
-func (m *Manager) notifyReleased(released []core.Assignment) {
+// destination, from frame f, to drop the hosted workload (an
+// Offload-Request with AmountPct 0 is the release instruction).
+func (m *Manager) notifyReleased(f *outFrame, released []core.Assignment) {
 	m.mu.Lock()
 	for _, a := range released {
 		delete(m.pairSync, pendingKey{busy: a.Busy, dest: a.Candidate})
@@ -1848,11 +1853,7 @@ func (m *Manager) notifyReleased(released []core.Assignment) {
 	m.mu.Unlock()
 	for _, a := range released {
 		if conn, ok := m.connFor(a.Candidate); ok {
-			_ = conn.Send(&proto.Message{
-				Type: proto.MsgOffloadRequest, From: ManagerNode,
-				To: int32(a.Candidate), Seq: m.nextSeq(),
-				BusyNode: int32(a.Busy), AmountPct: 0,
-			})
+			_ = conn.Send(m.offloadRequest(f, a.Candidate, a.Busy, 0, nil))
 		}
 	}
 }

@@ -252,7 +252,7 @@ func (mm *managerMetrics) bindGauges(reg *obs.Registry, db *NMDB, planner *core.
 		})
 	reg.GaugeFunc("dust_nmdb_active_assignments",
 		"assignments in the active offload ledger", func() float64 {
-			return float64(len(db.ActiveAssignments()))
+			return float64(db.ActiveCount())
 		})
 	reg.GaugeFunc("dust_nmdb_destinations",
 		"nodes currently hosting offloaded workloads", func() float64 {

@@ -780,6 +780,30 @@ func (db *NMDB) ActiveAssignments() []core.Assignment {
 	return out
 }
 
+// ActiveCount is the number of entries in the active ledger.
+func (db *NMDB) ActiveCount() int {
+	db.lmu.Lock()
+	defer db.lmu.Unlock()
+	n := 0
+	for _, as := range db.active {
+		n += len(as)
+	}
+	return n
+}
+
+// ledgerInto writes every active ledger entry into dst, keyed by its
+// busy→dest pair, without copying the ledger first. Route edge lists are
+// shared with the ledger, which never writes into them after recording.
+func (db *NMDB) ledgerInto(dst map[pendingKey]core.Assignment) {
+	db.lmu.Lock()
+	defer db.lmu.Unlock()
+	for _, as := range db.active {
+		for _, a := range as {
+			dst[pendingKey{busy: a.Busy, dest: a.Candidate}] = a
+		}
+	}
+}
+
 // Pair returns the ledger entry for busy→dest, if there is one.
 func (db *NMDB) Pair(busy, dest int) (core.Assignment, bool) {
 	db.lmu.Lock()

@@ -13,16 +13,16 @@ import (
 )
 
 // ConnSink encodes batches and sends them as telemetry-batch messages on a
-// proto.Conn. WriteBatch is single-goroutine (the pump's); the Blob is
-// freshly allocated per frame because the in-memory pipe transport hands
-// the same *Message to the receiver — aliasing the encoder's reusable
-// buffer would let the next flush overwrite bytes the peer still reads.
+// proto.Conn. WriteBatch is single-goroutine (the pump's). Each frame is
+// written in the sink's own Message with the encoder's reusable buffer as
+// its Blob: proto.Conn.Send retains neither once it returns.
 type ConnSink struct {
 	name     string
 	conn     proto.Conn
 	from, to int32
 	enc      rwEncoder
 	scratch  []byte
+	msg      proto.Message
 
 	seq    atomic.Uint64
 	frames atomic.Uint64
@@ -43,16 +43,14 @@ func (s *ConnSink) WriteBatch(batch []Sample) error {
 		return nil
 	}
 	s.scratch = s.enc.encodeTo(s.scratch[:0], batch)
-	blob := make([]byte, len(s.scratch))
-	copy(blob, s.scratch)
-	m := &proto.Message{
+	s.msg = proto.Message{
 		Type: proto.MsgTelemetryBatch,
 		From: s.from,
 		To:   s.to,
 		Seq:  s.seq.Add(1),
-		Blob: blob,
+		Blob: s.scratch,
 	}
-	if err := s.conn.Send(m); err != nil {
+	if err := s.conn.Send(&s.msg); err != nil {
 		return fmt.Errorf("databus: conn sink %s: %w", s.name, err)
 	}
 	s.frames.Add(1)

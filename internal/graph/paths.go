@@ -54,14 +54,19 @@ func (p Path) Cost(g *Graph, costFn EdgeCost) float64 {
 
 // Nodes reconstructs the node sequence (Src .. Dst) from the edge list.
 func (p Path) Nodes(g *Graph) []int {
-	nodes := make([]int, 0, len(p.Edges)+1)
+	return AppendNodes(make([]int, 0, len(p.Edges)+1), g, p)
+}
+
+// AppendNodes appends p's node sequence (Src .. Dst) to dst, in whichever
+// integer type the caller stores node ids as (the wire carries int32).
+func AppendNodes[T ~int | ~int32](dst []T, g *Graph, p Path) []T {
 	cur := p.Src
-	nodes = append(nodes, cur)
+	dst = append(dst, T(cur))
 	for _, id := range p.Edges {
 		cur = g.Edge(id).Other(cur)
-		nodes = append(nodes, cur)
+		dst = append(dst, T(cur))
 	}
-	return nodes
+	return dst
 }
 
 // EdgeCost maps an edge to a nonnegative traversal cost.

@@ -16,8 +16,8 @@ import (
 //
 // Only MsgProbe and MsgProbeReply are charged — the control plane is not
 // being simulated here, only the measurement plane. The frame is copied
-// before mutation so callers (and fault injectors duplicating pointers)
-// never see a shared message change under them.
+// before mutation, since m belongs to the caller; the copy is only passed
+// through, so Send retains nothing.
 type LatencyConn struct {
 	inner proto.Conn
 	// oneWay returns the current one-way latency for m's hop; it is read

@@ -40,8 +40,10 @@ type FaultStats struct {
 }
 
 // FaultConn wraps a Conn and applies a FaultPlan to its Send path; Recv
-// and Close pass through. Wrapping both endpoints of a Pipe (see
-// FaultPipe) faults both directions independently.
+// and Close pass through. A message held back for reordering or delay is
+// a copy, so Send keeps the Conn contract and retains nothing. Wrapping
+// both endpoints of a Pipe (see FaultPipe) faults both directions
+// independently.
 type FaultConn struct {
 	inner Conn
 
@@ -103,7 +105,7 @@ func (c *FaultConn) Send(m *Message) error {
 	}
 	if c.held == nil && c.roll(c.plan.Reorder) {
 		c.stats.Reordered++
-		c.held = m
+		c.held = m.clone()
 		c.mu.Unlock()
 		return nil
 	}
@@ -122,9 +124,11 @@ func (c *FaultConn) Send(m *Message) error {
 
 // deliver pushes m to the inner connection, immediately or after delay.
 // Delayed deliveries run on their own timer goroutine, so they may
-// overtake messages sent later — that is the point.
+// overtake messages sent later — that is the point. A delayed message is
+// copied first: the caller may reuse m once Send returns.
 func (c *FaultConn) deliver(m *Message, delay time.Duration, dup bool) error {
 	if delay > 0 {
+		m = m.clone()
 		time.AfterFunc(delay, func() {
 			_ = c.inner.Send(m)
 			if dup {

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -185,6 +186,16 @@ type Message struct {
 	// (deadband or probabilistic) since its previous frame, letting the
 	// manager distinguish "unchanged" from "lost".
 	StatSuppressed uint32
+}
+
+// clone returns a deep copy of m: the copy shares no slice with m.
+func (m *Message) clone() *Message {
+	cp := *m
+	cp.Agents = slices.Clone(m.Agents)
+	cp.RouteNodes = slices.Clone(m.RouteNodes)
+	cp.Blob = slices.Clone(m.Blob)
+	cp.ProbeSamples = slices.Clone(m.ProbeSamples)
+	return &cp
 }
 
 // ProbeSample is one smoothed per-peer measurement inside a
@@ -392,17 +403,28 @@ func DecodeInto(m *Message, data []byte) error {
 // and payload are assembled in one pooled buffer and written with a
 // single Write call.
 func WriteFrame(w io.Writer, m *Message) error {
-	bp := getBuf(4)
+	bp := getBuf(0)
 	defer putBuf(bp)
-	*bp = AppendEncode(*bp, m)
-	frame := *bp
-	payloadLen := len(frame) - 4
-	if payloadLen > maxMessageSize {
-		return ErrFrameTooLarge
+	frame, err := appendFrame(*bp, m)
+	*bp = frame
+	if err != nil {
+		return err
 	}
-	binary.BigEndian.PutUint32(frame[:4], uint32(payloadLen))
-	_, err := w.Write(frame)
+	_, err = w.Write(frame)
 	return err
+}
+
+// appendFrame appends m's length-prefixed frame to b.
+func appendFrame(b []byte, m *Message) ([]byte, error) {
+	start := len(b)
+	b = append(b, 0, 0, 0, 0)
+	b = AppendEncode(b, m)
+	payloadLen := len(b) - start - 4
+	if payloadLen > maxMessageSize {
+		return b, ErrFrameTooLarge
+	}
+	binary.BigEndian.PutUint32(b[start:], uint32(payloadLen))
+	return b, nil
 }
 
 // readBufSize is the per-connection read buffer of a framed stream: room

@@ -13,7 +13,9 @@ import (
 // DUST-Client and the DUST-Manager.
 type Conn interface {
 	// Send delivers m to the peer; it blocks until accepted or the
-	// connection closes.
+	// connection closes. Send does not retain m, or any slice m
+	// references, after it returns: a sender may build every frame in one
+	// reused Message and overwrite it, slices included, once Send is back.
 	Send(m *Message) error
 	// Recv overwrites m with the next message from the peer, blocking
 	// until one arrives or the connection closes (io.EOF-like error).
@@ -52,6 +54,8 @@ func Pipe(depth int) (Conn, Conn) {
 	return a, b
 }
 
+// Send queues a deep copy of m: the queue outlives the call, and m is
+// the caller's to reuse once Send returns.
 func (c *chanConn) Send(m *Message) error {
 	select {
 	case <-c.closed:
@@ -59,7 +63,7 @@ func (c *chanConn) Send(m *Message) error {
 	default:
 	}
 	select {
-	case c.out <- m:
+	case c.out <- m.clone():
 		return nil
 	case <-c.closed:
 		return ErrClosed
@@ -101,12 +105,14 @@ type ConnDeadlines struct {
 
 // tcpConn frames messages over a net.Conn. Reads go through one buffer
 // per connection, so a burst of small frames costs one read(2), not two
-// per frame.
+// per frame. Sends encode into one frame buffer per connection, so a send
+// allocates nothing.
 type tcpConn struct {
 	nc     net.Conn
 	br     *bufio.Reader
 	dl     ConnDeadlines
 	sendMu sync.Mutex
+	wbuf   []byte // guarded by sendMu
 	recvMu sync.Mutex
 }
 
@@ -130,7 +136,16 @@ func (c *tcpConn) Send(m *Message) error {
 			return err
 		}
 	}
-	return WriteFrame(c.nc, m)
+	frame, err := appendFrame(c.wbuf[:0], m)
+	if cap(frame) <= readBufSize {
+		// A replication snapshot's frame is not kept alive between sends.
+		c.wbuf = frame
+	}
+	if err != nil {
+		return err
+	}
+	_, err = c.nc.Write(frame)
+	return err
 }
 
 func (c *tcpConn) Recv(m *Message) error {
