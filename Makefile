@@ -59,11 +59,12 @@ fuzz-smoke:
 # The observability and data-plane packages run first: their lock-free
 # counters, pump goroutines, and the instrumented manager/client paths are
 # the likeliest place for a fresh data race, so they fail fast before the
-# full -race sweep.
+# full -race sweep. core and graph join them uncached because the route
+# cache repairs shared trees in place.
 check-race:
 	go vet ./...
-	go test -race -count=1 ./internal/obs ./internal/proto ./internal/probe ./internal/report ./internal/databus ./internal/tsdb ./internal/cluster
-	go test -race $(shell go list ./... | grep -v -e /internal/obs -e /internal/proto -e /internal/probe -e /internal/report -e /internal/databus -e /internal/tsdb -e /internal/cluster)
+	go test -race -count=1 ./internal/obs ./internal/proto ./internal/probe ./internal/report ./internal/databus ./internal/tsdb ./internal/cluster ./internal/core ./internal/graph
+	go test -race $(shell go list ./... | grep -v -e /internal/obs -e /internal/proto -e /internal/probe -e /internal/report -e /internal/databus -e /internal/tsdb -e /internal/cluster -e /internal/core -e /internal/graph)
 
 bench:
 	go test -bench=. -benchmem

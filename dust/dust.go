@@ -218,7 +218,10 @@ func AlternateRoutes(s *State, a Assignment, model core.RateModel, k int) []Rank
 }
 
 // Planner caches per-source route computations across placement rounds
-// (invalidated automatically when the topology's link rates change).
+// (invalidated automatically when the topology's link rates change, and
+// repaired in place). Rounds on one planner are serialised. A Result's
+// Seconds and Assignments outlive the next round; Result.Routes.Route is
+// valid only until the next round on the same planner.
 type Planner = core.Planner
 
 // NewPlanner creates a route-caching solver front-end with fixed params.

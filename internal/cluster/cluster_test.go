@@ -849,6 +849,44 @@ func TestClassifyConcurrent(t *testing.T) {
 	}
 }
 
+// TestRoundValidatesGraphOncePerVersion: a placement round checks its
+// state's node arrays every round and its graph only when the graph's
+// (instance, Version()) pair moved since the last round validated it.
+func TestRoundValidatesGraphOncePerVersion(t *testing.T) {
+	topo := lineTopology(4)
+	state := core.NewState(topo)
+	var rl roundLedger
+	if err := rl.validate(state); err != nil {
+		t.Fatal(err)
+	}
+	if rl.validG != topo || rl.validVersion != topo.Version() {
+		t.Fatalf("validated pair (%p, %d), want (%p, %d)", rl.validG, rl.validVersion, topo, topo.Version())
+	}
+	state.Util[2] = 101
+	if rl.validate(state) == nil {
+		t.Fatal("a round on an unchanged graph skipped the node arrays")
+	}
+	state.Util[2] = 50
+	topo.SetUtilization(1, 0.25)
+	if err := rl.validate(state); err != nil {
+		t.Fatal(err)
+	}
+	if rl.validVersion != topo.Version() {
+		t.Fatalf("validated version %d, want %d after a link edit", rl.validVersion, topo.Version())
+	}
+	other := core.NewState(lineTopology(4))
+	other.G.SetUtilization(1, 0.25)
+	if other.G.Version() != topo.Version() {
+		t.Fatalf("fixture: versions %d and %d differ", other.G.Version(), topo.Version())
+	}
+	if err := rl.validate(other); err != nil {
+		t.Fatal(err)
+	}
+	if rl.validG != other.G {
+		t.Fatal("a new graph instance with an equal version was not re-validated")
+	}
+}
+
 func TestClientHostingView(t *testing.T) {
 	h := newHarness(t, lineTopology(2), []ClientConfig{
 		{Node: 0, Capable: true},

@@ -293,6 +293,46 @@ func TestDegradedModeDefersAndAdopts(t *testing.T) {
 	}
 }
 
+// TestPromoteOpensDegradedWithFollower: a promoted manager is degraded
+// from the first moment it stops reporting itself a follower, so no
+// handshake or round can meet a promoted manager outside its grace
+// window. A goroutine spins on IsFollower across each Promote and reads
+// Degraded the first time it sees false.
+func TestPromoteOpensDegradedWithFollower(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		m, err := NewManager(ManagerConfig{
+			Topology:         lineTopology(4),
+			Defaults:         core.Thresholds{CMax: 80, COMax: 50, XMin: 2},
+			KeepaliveTimeout: 90 * time.Second,
+			GraceWindow:      time.Hour,
+			ResyncQuorum:     1,
+			Follower:         true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n < 4; n++ {
+			if err := m.NMDB().Register(n, true, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		started := make(chan struct{})
+		degraded := make(chan bool)
+		go func() {
+			close(started)
+			for m.IsFollower() {
+			}
+			degraded <- m.Degraded()
+		}()
+		<-started
+		m.Promote()
+		if !<-degraded {
+			t.Fatalf("promotion %d: the manager stopped being a follower before it was degraded", i)
+		}
+		m.Close()
+	}
+}
+
 func TestDegradedModeExpires(t *testing.T) {
 	clock := newTestClock()
 	reg := obs.NewRegistry()

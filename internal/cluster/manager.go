@@ -353,16 +353,21 @@ func (m *Manager) IsFollower() bool {
 // client handshakes and placement rounds, entering degraded mode (grace
 // window) so restored-but-unconfirmed state is not evicted before clients
 // have a chance to resync. Safe to call on an already-active manager.
+//
+// follower is cleared in the same critical section that opens degraded
+// mode, so no handshake or round sees a promoted manager that is not yet
+// degraded.
 func (m *Manager) Promote() {
+	base := len(m.nmdb.Nodes())
 	m.mu.Lock()
 	if !m.follower {
 		m.mu.Unlock()
 		return
 	}
 	m.follower = false
+	m.openDegradedLocked(base)
 	m.mu.Unlock()
 	m.metrics.promotions.Inc()
-	m.enterDegraded()
 }
 
 // enterDegraded starts the post-restore/post-promotion grace window:
@@ -372,16 +377,22 @@ func (m *Manager) Promote() {
 // for pairs the ledger lacks are adopted instead of dropped — restored
 // state is treated as stale-but-plausible rather than authoritative.
 func (m *Manager) enterDegraded() {
+	base := len(m.nmdb.Nodes())
+	m.mu.Lock()
+	m.openDegradedLocked(base)
+	m.mu.Unlock()
+}
+
+// openDegradedLocked opens the grace window over base known clients,
+// unless GraceWindow disables it. Called with m.mu held.
+func (m *Manager) openDegradedLocked(base int) {
 	if m.cfg.GraceWindow < 0 {
 		return
 	}
-	base := len(m.nmdb.Nodes())
-	m.mu.Lock()
 	m.degraded = true
 	m.graceUntil = m.cfg.Now().Add(m.cfg.GraceWindow)
 	m.resyncBase = base
 	m.resynced = make(map[int]bool)
-	m.mu.Unlock()
 	m.metrics.degradedEvents["entered"].Inc()
 }
 
@@ -1135,7 +1146,10 @@ func (m *Manager) RunPlacement() (report *PlacementReport, err error) {
 
 	state := m.nmdb.SnapshotState(m.cfg.Defaults)
 	phaseStart := time.Now()
-	cls, err := m.classify(state)
+	var cls *core.Classification
+	if err = m.round.validate(state); err == nil {
+		cls, err = m.roles(state)
+	}
 	m.metrics.observePhase("classify", time.Since(phaseStart))
 	if err != nil {
 		return nil, err
@@ -1270,6 +1284,29 @@ type roundLedger struct {
 	timedOut map[pendingKey]bool
 	// degraded suspends keeping and releasing for the round.
 	degraded bool
+	// validG and validVersion are the graph instance and Version() the
+	// last round validated; a round re-validates the graph only when
+	// either moved.
+	validG       *graph.Graph
+	validVersion uint64
+}
+
+// validate checks a round's state: its node arrays every round, its graph
+// once per (instance, Version()) pair. Called with tickMu held, which is
+// what makes remembering the pair safe; classify, also reached without
+// tickMu, validates in full.
+func (rl *roundLedger) validate(s *core.State) error {
+	if err := s.ValidateNodes(); err != nil {
+		return err
+	}
+	if s.G == rl.validG && s.G.Version() == rl.validVersion {
+		return nil
+	}
+	if err := s.G.Validate(); err != nil {
+		return err
+	}
+	rl.validG, rl.validVersion = s.G, s.G.Version()
+	return nil
 }
 
 // startRound readies m.round for a new round: its maps are cleared, not
@@ -1549,17 +1586,23 @@ func (m *Manager) resolveRetry(state *core.State, cls *core.Classification, fail
 	return next, unplaced, nil
 }
 
-// classify builds the role split honoring per-client threshold overrides
-// and, when a StalenessHorizon is configured, the bounded-staleness
-// contract of sampled reporting (DESIGN.md §16): a record whose sample is
-// stale but whose report age is fresh holds its previous verdict (the
-// client's heartbeats assert the values are unchanged within its
-// deadbands), and a record past the horizon classifies neutral — the
-// manager does not act on data from a node it has not heard from.
+// classify validates the state in full, then builds the role split
+// honoring per-client threshold overrides and, when a StalenessHorizon is
+// configured, the bounded-staleness contract of sampled reporting
+// (DESIGN.md §16): a record whose sample is stale but whose report age is
+// fresh holds its previous verdict (the client's heartbeats assert the
+// values are unchanged within its deadbands), and a record past the
+// horizon classifies neutral — the manager does not act on data from a
+// node it has not heard from.
 func (m *Manager) classify(state *core.State) (*core.Classification, error) {
 	if err := state.Validate(); err != nil {
 		return nil, err
 	}
+	return m.roles(state)
+}
+
+// roles is classify on a state already validated.
+func (m *Manager) roles(state *core.State) (*core.Classification, error) {
 	now := m.cfg.Now()
 	horizon := m.cfg.StalenessHorizon
 	n := state.G.NumNodes()

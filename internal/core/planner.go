@@ -22,12 +22,15 @@ import (
 //
 // The planner also owns one transportation workspace (lp.Transport), so a
 // round's solve reuses the previous round's tableau and output arrays
-// instead of allocating them. Solves on one planner are serialised on it;
-// route computation is not.
+// instead of allocating them. Rounds on one planner are serialised, route
+// computation included: the cache repairs the previous round's trees in
+// place. A Result's Seconds and Assignments, their Route paths included,
+// stay valid after the next round; its Routes table's Route and the trees
+// behind it are valid only until the next round.
 type Planner struct {
 	cache *RouteCache
 
-	mu sync.Mutex // guards lp
+	mu sync.Mutex // serialises rounds; guards lp
 	lp lp.Transport
 }
 
@@ -64,6 +67,8 @@ func (pl *Planner) SolveClassified(s *State, c *Classification) (*Result, error)
 	if len(c.Busy) == 0 {
 		return &Result{Status: StatusOptimal, Classification: c}, nil
 	}
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
 	t0 := time.Now()
 	rt, err := pl.cache.ComputeRoutes(s, c)
 	if err != nil {
@@ -71,11 +76,9 @@ func (pl *Planner) SolveClassified(s *State, c *Classification) (*Result, error)
 	}
 	routeDur := time.Since(t0)
 
-	pl.mu.Lock()
 	t1 := time.Now()
 	res, err := solveWithRoutes(s, c, rt, pl.Params(), &pl.lp)
 	solveDur := time.Since(t1)
-	pl.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}

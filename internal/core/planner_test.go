@@ -5,7 +5,9 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 )
@@ -313,6 +315,98 @@ func TestPlannerConcurrentSolves(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestPlannerConcurrentRoundsUnderDrift: two goroutines solve on one
+// planner, each moving the measurement overlay before every round, so
+// rounds evict and repair cache rows in place while the other goroutine
+// reads its Result. Every Result read after its round returned must still
+// route each assignment from its busy node to its candidate at exactly its
+// response time under one overlay state the round could have seen. Run it
+// under -race.
+func TestPlannerConcurrentRoundsUnderDrift(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	g := graph.FatTree(4, 1000)
+	graph.RandomizeUtilization(g, 0.2, 0.8, rng)
+	s, err := RandomState(g, DefaultScenario(), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Unix(1_700_000_000, 0)
+	mc := graph.NewMeasuredCosts(g, time.Hour, func() time.Time { return now })
+	params := DefaultParams()
+	params.PathStrategy = PathDP
+	params.Parallelism = 2
+	params.Measured = mc
+	pl := NewPlanner(params)
+
+	// Observe and the append share mu, so a round that returned read a
+	// state already in the list.
+	var mu sync.Mutex
+	f0, _ := mc.Factors(nil, g.NumEdges())
+	states := [][]float64{f0}
+	edges := g.Edges()
+	errs := make(chan error, 2)
+	for k := range 2 {
+		go func() {
+			orng := rand.New(rand.NewSource(int64(13 + k)))
+			var err error
+			for r := 0; r < 40 && err == nil; r++ {
+				e := edges[orng.Intn(len(edges))]
+				mu.Lock()
+				mc.Observe(e.U, e.V, time.Duration(1+orng.Intn(30))*time.Millisecond, 0, now)
+				f, _ := mc.Factors(nil, g.NumEdges())
+				states = append(states, f)
+				mu.Unlock()
+				var res *Result
+				if res, err = pl.Solve(s); err != nil {
+					break
+				}
+				mu.Lock()
+				seen := states
+				mu.Unlock()
+				if !assignmentsPricedByOneState(g, s, res.Assignments, seen) {
+					err = fmt.Errorf("round %d: no overlay state prices every assignment's route at its response time", r)
+				}
+			}
+			errs <- err
+		}()
+	}
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if st := pl.Cache().Stats(); st.Repaired == 0 {
+		t.Fatalf("stats %+v: the overlay drift repaired no row", st)
+	}
+}
+
+// assignmentsPricedByOneState reports whether some overlay state prices
+// every assignment's route, which must run from its busy node to its
+// candidate, at exactly its response time.
+func assignmentsPricedByOneState(g *graph.Graph, s *State, as []Assignment, states [][]float64) bool {
+	for _, a := range as {
+		if r := a.Route; r.Src != a.Busy || r.Dst != a.Candidate {
+			return false
+		}
+	}
+	for k := len(states) - 1; k >= 0; k-- {
+		cost := func(e graph.Edge) float64 {
+			return graph.InverseRate(e.UtilizedMbps() * states[k][e.ID])
+		}
+		ok := true
+		for _, a := range as {
+			if s.effectiveDataMb(a.Busy)*a.Route.Cost(g, cost) != a.ResponseTimeSec {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			return true
+		}
+	}
+	return false
 }
 
 func cloneAssignments(as []Assignment) []Assignment {

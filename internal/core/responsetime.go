@@ -75,8 +75,9 @@ type RouteTable struct {
 	// PathsExplored counts enumerated simple paths (PathEnumerate only).
 	PathsExplored int
 	// rows[bi] holds busy row bi's minimum-response-time routes to every
-	// node. Rows are shared with the route cache and never written after
-	// assembly, so a table costs no per-cell path copies.
+	// node, shared with the route cache, so a table costs no per-cell path
+	// copies. A RouteCache repairs its trees in place in its next round, so
+	// a cached table's Route is valid only until then; Seconds stays valid.
 	rows []routeRow
 }
 
@@ -88,7 +89,9 @@ type routeRow struct {
 }
 
 // Route returns the minimum-response-time path between Busy[bi] and
-// Candidates[cj], or the zero Path when Seconds[bi][cj] is +Inf.
+// Candidates[cj], or the zero Path when Seconds[bi][cj] is +Inf. The
+// path's edges are never rewritten, but a table from a RouteCache answers
+// only until the cache's next round.
 func (rt *RouteTable) Route(bi, cj int) graph.Path {
 	if math.IsInf(rt.Seconds[bi][cj], 1) {
 		return graph.Path{}

@@ -44,10 +44,17 @@ import (
 //
 // Under unbounded hops a row is a graph.Tree, and an evicted row is
 // repaired rather than recomputed when its source is busy in the same
-// round: DPScratch.RepairTree re-derives it from the edges whose cost
-// differs from the cost vector the row was built under, into the row a
-// cold computation would return at the round's costs. Evicted rows no busy
-// source claims are dropped when the round ends.
+// round: DPScratch.RepairTree re-derives it, in the evicted tree's own
+// storage, from the edges whose cost differs from the cost vector the row
+// was built under, into the row a cold computation would return at the
+// round's costs. Evicted rows no busy source claims are dropped when the
+// round ends.
+//
+// A round holds the cache's lock from revalidation to assembly, so it owns
+// the trees it rewrites. A RouteTable's Seconds outlive the next round on
+// the cache; its Route paths and the trees behind them are valid only
+// until then (the lp.Transport precedent: valid until the next Solve). A
+// path already returned by Route keeps its edges.
 //
 // Only the PathDP strategy is cached (exhaustive enumeration is dominated
 // by per-pair path explosion by design); other strategies pass through to
@@ -79,14 +86,24 @@ type RouteCache struct {
 	// last describes the table the previous round assembled.
 	last lastTable
 	st   CacheStats
+
+	// Round scratch, reused under mu: the edges whose cost dropped / rose
+	// beyond ε, the rows revalidation evicted by source, and per missing
+	// row its index into the busy list and the evicted row to repair.
+	cheaper, dearer []int
+	evicted         map[int]*cacheRow
+	missing         []int
+	prev            []*cacheRow
 }
 
 // lastTable is what each row of the last assembled table was derived from:
 // the busy node, its cache row and its effective data volume, over one
 // candidate list. A row whose inputs are all unchanged is shared with the
-// next table instead of rebuilt; rows are never written after assembly, so
-// a table held from an earlier round stays valid. The slices are the
-// cache's own copies, since a caller may reuse its classification.
+// next table instead of rebuilt. Seconds rows are never written after
+// assembly, so they stay valid in a table held from an earlier round; a
+// repaired row gets a fresh cacheRow, so its Seconds are never shared. The
+// slices are the cache's own copies, since a caller may reuse its
+// classification.
 type lastTable struct {
 	busy, cands []int
 	rows        []*cacheRow
@@ -128,7 +145,7 @@ type CacheStats struct {
 
 // NewRouteCache creates an empty cache with fixed parameters.
 func NewRouteCache(params Params) *RouteCache {
-	return &RouteCache{params: params, rows: make(map[int]*cacheRow)}
+	return &RouteCache{params: params, rows: make(map[int]*cacheRow), evicted: make(map[int]*cacheRow)}
 }
 
 // Params returns the cache's solve configuration.
@@ -154,20 +171,21 @@ func (rc *RouteCache) Flush() {
 
 // ComputeRoutes builds the route table for the classified state, reusing
 // every cached row the revalidation rule lets it keep and computing the
-// missing rows in parallel across the Params worker pool.
+// missing rows in parallel across the Params worker pool. Rounds on one
+// cache are serialised: the previous round's trees are repaired in place.
 func (rc *RouteCache) ComputeRoutes(s *State, c *Classification) (*RouteTable, error) {
 	if rc.params.PathStrategy != PathDP {
 		return ComputeRoutes(s, c, rc.params)
 	}
 
 	rc.mu.Lock()
+	defer rc.mu.Unlock()
 	var mver uint64
 	rc.rates, mver = rc.params.edgeRates(s.G, rc.rates)
-	evicted := rc.revalidate(s.G, rc.rates, mver)
-	version := rc.version
+	rc.revalidate(s.G, rc.rates, mver)
+	// entries is kept by the table as last.rows, so it is the round's own.
 	entries := make([]*cacheRow, len(c.Busy))
-	var missing []int    // indices into c.Busy
-	var prev []*cacheRow // per missing row: the evicted row to repair, or nil
+	missing, prev := rc.missing[:0], rc.prev[:0]
 	for bi, b := range c.Busy {
 		if row, ok := rc.rows[b]; ok {
 			entries[bi] = row
@@ -176,51 +194,38 @@ func (rc *RouteCache) ComputeRoutes(s *State, c *Classification) (*RouteTable, e
 		}
 		missing = append(missing, bi)
 		rc.st.Misses++
-		old := evicted[b]
+		old := rc.evicted[b]
 		if old != nil {
 			rc.st.Repaired++
 		}
 		prev = append(prev, old)
 	}
-	// The round's cost vector, shared read-only by every worker and kept
-	// by the rows built under it.
-	var w []float64
 	if len(missing) > 0 {
-		w = make([]float64, len(rc.rates))
+		// The round's cost vector, shared read-only by every worker and
+		// kept by the rows built under it.
+		w := make([]float64, len(rc.rates))
 		for i, r := range rc.rates {
 			w[i] = graph.InverseRate(r)
 		}
-	}
-	rc.mu.Unlock()
-
-	var fresh []*cacheRow
-	if len(missing) > 0 {
-		fresh = rc.computeRows(s.G, c.Busy, missing, prev, w)
-	}
-
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	// Only store if the cache generation is still current: a concurrent
-	// round may have revalidated against a newer graph or overlay.
-	store := rc.g == s.G && rc.version == version && rc.mver == mver
-	for mi, bi := range missing {
-		entries[bi] = fresh[mi]
-		if store {
-			rc.rows[c.Busy[bi]] = fresh[mi]
+		rc.computeRows(s.G, c.Busy, entries, missing, prev, w)
+		for _, bi := range missing {
+			rc.rows[c.Busy[bi]] = entries[bi]
 		}
 	}
+	clear(rc.evicted)
+	clear(prev)
+	rc.missing, rc.prev = missing, prev
 	return rc.assemble(s, c, entries)
 }
 
 // computeRows builds the rows of the busy nodes at the missing indices
-// under the round's cost vector w, fanned out across the worker pool: a
-// repair of prev[mi] where there is one, a cold computation otherwise.
-// Workers claim rows from a shared counter, the calling goroutine among
-// them, and take their scratch from the cache's pool, so a round of
-// microsecond repairs pays neither a channel hand-off per row nor fresh
-// buffers per worker.
-func (rc *RouteCache) computeRows(g *graph.Graph, busy, missing []int, prev []*cacheRow, w []float64) []*cacheRow {
-	fresh := make([]*cacheRow, len(missing))
+// into entries under the round's cost vector w, fanned out across the
+// worker pool: a repair of prev[mi] where there is one, a cold computation
+// otherwise. Workers claim rows from a shared counter, the calling
+// goroutine among them, and take their scratch from the cache's pool, so a
+// round of microsecond repairs pays neither a channel hand-off per row nor
+// fresh buffers per worker. Workers never take rc.mu; the caller holds it.
+func (rc *RouteCache) computeRows(g *graph.Graph, busy []int, entries []*cacheRow, missing []int, prev []*cacheRow, w []float64) {
 	var next atomic.Int64
 	work := func() {
 		sc, _ := rc.scratch.Get().(*graph.DPScratch)
@@ -228,7 +233,8 @@ func (rc *RouteCache) computeRows(g *graph.Graph, busy, missing []int, prev []*c
 			sc = new(graph.DPScratch)
 		}
 		for mi := int(next.Add(1) - 1); mi < len(missing); mi = int(next.Add(1) - 1) {
-			fresh[mi] = rc.computeRow(g, busy[missing[mi]], prev[mi], w, sc)
+			bi := missing[mi]
+			entries[bi] = rc.computeRow(g, busy[bi], prev[mi], w, sc)
 		}
 		rc.scratch.Put(sc)
 	}
@@ -242,12 +248,12 @@ func (rc *RouteCache) computeRows(g *graph.Graph, busy, missing []int, prev []*c
 	}
 	work()
 	wg.Wait()
-	return fresh
 }
 
 // computeRow computes src's row under the round's cost vector w and
-// derives its invalidation data: under unbounded hops by repairing prev
-// when there is one, otherwise with the DP.
+// derives its invalidation data: under unbounded hops by repairing prev's
+// tree in place when there is one, otherwise with the DP. The row itself
+// is always fresh, so assemble never mistakes it for the evicted one.
 func (rc *RouteCache) computeRow(g *graph.Graph, src int, prev *cacheRow, w []float64, sc *graph.DPScratch) *cacheRow {
 	row := &cacheRow{w: w}
 	if graph.UnboundedHops(rc.params.MaxHops, g.NumNodes()) {
@@ -330,9 +336,9 @@ func (row *cacheRow) stale(g *graph.Graph, cheaper, dearer []int, rates []float6
 // revalidate brings the cache up to the graph's current generation and
 // the measurement overlay version mver, whose effective rates per edge are
 // rates, evicting exactly the rows the drift can affect. Under unbounded
-// hops it returns the evicted rows by source, for repair. Called with
-// rc.mu held.
-func (rc *RouteCache) revalidate(g *graph.Graph, rates []float64, mver uint64) map[int]*cacheRow {
+// hops it records the evicted rows by source in rc.evicted, for repair.
+// Called with rc.mu held.
+func (rc *RouteCache) revalidate(g *graph.Graph, rates []float64, mver uint64) {
 	if g != rc.g || len(rc.lu) != len(rates) {
 		// New graph instance or structural change: full reset.
 		rc.g = g
@@ -341,13 +347,13 @@ func (rc *RouteCache) revalidate(g *graph.Graph, rates []float64, mver uint64) m
 		rc.lu = append(rc.lu[:0], rates...)
 		rc.rows = make(map[int]*cacheRow)
 		rc.st.Flushes++
-		return nil
+		return
 	}
 	if g.Version() == rc.version && mver == rc.mver {
-		return nil
+		return
 	}
 	eps := rc.params.CacheEpsilon
-	var cheaper, dearer []int // edge IDs whose per-hop cost dropped / rose beyond ε
+	cheaper, dearer := rc.cheaper[:0], rc.dearer[:0]
 	for i, nl := range rates {
 		ol := rc.lu[i]
 		if nl == ol {
@@ -363,26 +369,22 @@ func (rc *RouteCache) revalidate(g *graph.Graph, rates []float64, mver uint64) m
 		}
 		rc.lu[i] = nl
 	}
+	rc.cheaper, rc.dearer = cheaper, dearer
 	rc.version = g.Version()
 	rc.mver = mver
 	if len(cheaper) == 0 && len(dearer) == 0 {
-		return nil
+		return
 	}
 	repairable := graph.UnboundedHops(rc.params.MaxHops, g.NumNodes())
-	var evicted map[int]*cacheRow
 	for src, row := range rc.rows {
 		if row.stale(g, cheaper, dearer, rates) {
 			delete(rc.rows, src)
 			rc.st.Evicted++
 			if repairable {
-				if evicted == nil {
-					evicted = make(map[int]*cacheRow)
-				}
-				evicted[src] = row
+				rc.evicted[src] = row
 			}
 		}
 	}
-	return evicted
 }
 
 // assemble scales the per-unit rows by each busy node's effective data

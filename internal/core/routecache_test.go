@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -238,6 +239,98 @@ func TestRouteCacheRepairsEvictedRows(t *testing.T) {
 	round(both, "bounded cold", CacheStats{Misses: 2, Flushes: 1})
 	g.SetUtilization(4, 0.25)
 	round(both, "bounded dearer", CacheStats{Misses: 4, Evicted: 2, Flushes: 1})
+}
+
+// TestRouteCacheRepairReusesRowStorage: a row evicted and repaired in the
+// same round keeps its tree, repaired in the tree's own storage, under a
+// fresh cache row, so assembly cannot share the evicted row's Seconds.
+func TestRouteCacheRepairReusesRowStorage(t *testing.T) {
+	g := graph.Line(10, 1000)
+	for i := 0; i < g.NumEdges(); i++ {
+		g.SetUtilization(graph.EdgeID(i), 0.5)
+	}
+	s := NewState(g)
+	for i := range s.DataMb {
+		s.DataMb[i] = 1
+	}
+	c := &Classification{Busy: []int{0}, Candidates: []int{3, 6}}
+	p := Params{RateModel: RateUtilized, PathStrategy: PathDP}
+	rc := NewRouteCache(p)
+	first, err := rc.ComputeRoutes(s, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := rc.rows[0]
+	dist := &before.tree.Dist()[0]
+	secs := first.Seconds[0][1]
+	g.SetUtilization(4, 0.25) // edge 4-5 lies on node 0's route to node 6
+	got, err := rc.ComputeRoutes(s, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := rc.Stats(); st.Repaired != 1 {
+		t.Fatalf("stats %+v, want one repaired row", st)
+	}
+	after := rc.rows[0]
+	if after == before {
+		t.Fatal("the repaired row reuses the evicted cache row")
+	}
+	if after.tree != before.tree || &after.tree.Dist()[0] != dist {
+		t.Fatal("the repaired row does not live in the evicted row's storage")
+	}
+	if got.Seconds[0][1] == secs || first.Seconds[0][1] != secs {
+		t.Fatalf("Seconds to node 6: round 1 %g (was %g), round 2 %g", first.Seconds[0][1], secs, got.Seconds[0][1])
+	}
+	cold, err := ComputeRoutes(s, c, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routeTablesIdentical(t, cold, got, "repaired")
+}
+
+// TestRouteCacheRepairMatchesColdEveryRound drives the benchmark's fleet160
+// shape through 300 link_drift rounds of four link edits with two route
+// workers: every round's cached table, repaired rows included, must equal
+// the stateless table bit for bit, routes included. Run it under -race.
+func TestRouteCacheRepairMatchesColdEveryRound(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	g := graph.RandomConnected(160, 0.05, 1000, rng)
+	graph.RandomizeUtilization(g, 0.3, 0.9, rng)
+	s := NewState(g)
+	for i := range s.Util {
+		if i%3 == 0 {
+			s.Util[i] = 85 + 10*rng.Float64()
+		} else {
+			s.Util[i] = 15 + 20*rng.Float64()
+		}
+		s.DataMb[i] = 20
+	}
+	p := DefaultParams()
+	p.Thresholds = Thresholds{CMax: 80, COMax: 50, XMin: 1}
+	p.PathStrategy = PathDP
+	p.Parallelism = 2
+	c, err := Classify(s, p.Thresholds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := NewRouteCache(p)
+	for round := 0; round < 300; round++ {
+		for range 4 {
+			g.SetUtilization(graph.EdgeID(rng.Intn(g.NumEdges())), 0.3+0.6*rng.Float64())
+		}
+		got, err := rc.ComputeRoutes(s, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ComputeRoutes(s, c, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		routeTablesIdentical(t, want, got, fmt.Sprintf("round %d", round))
+	}
+	if st := rc.Stats(); st.Repaired == 0 || st.Hits == 0 {
+		t.Fatalf("stats %+v: the drift should both repair and keep rows", st)
+	}
 }
 
 // TestRouteCacheMeasuredRevalidation checks the measured-costs loop: a

@@ -93,8 +93,18 @@ func NewState(g *graph.Graph) *State {
 	return s
 }
 
-// Validate checks structural consistency and value ranges.
+// Validate checks structural consistency and value ranges: the node
+// arrays (ValidateNodes) and the graph.
 func (s *State) Validate() error {
+	if err := s.ValidateNodes(); err != nil {
+		return err
+	}
+	return s.G.Validate()
+}
+
+// ValidateNodes checks the per-node arrays against the graph's node count
+// and their value ranges, leaving the graph itself unchecked.
+func (s *State) ValidateNodes() error {
 	n := s.G.NumNodes()
 	if len(s.Util) != n || len(s.DataMb) != n || len(s.Offloadable) != n {
 		return fmt.Errorf("core: state arrays sized %d/%d/%d, want %d",
@@ -118,7 +128,7 @@ func (s *State) Validate() error {
 			}
 		}
 	}
-	return s.G.Validate()
+	return nil
 }
 
 // Clone returns a deep copy sharing no state (including the graph).

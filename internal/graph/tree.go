@@ -38,9 +38,9 @@ func UnboundedHops(maxHops, n int) bool { return maxHops <= 0 || maxHops >= n }
 
 // A Tree is one source's unbounded-hop row, held as the shortest-path tree
 // it is: per node the dist, the pred edge and the depth. Path spells a
-// route out on first request and keeps it. A Tree is otherwise immutable,
-// so route caches and the tables they assemble share it, and it is safe
-// for concurrent use.
+// route out on first request and keeps it. Only RepairTree writes a Tree,
+// in place; between repairs it is safe for concurrent use, so a route cache
+// and the tables it assembles share it until the cache repairs it.
 type Tree struct {
 	g    *Graph
 	src  int
@@ -54,7 +54,8 @@ type Tree struct {
 }
 
 // Dist returns the minimum path cost to every node (+Inf if unreachable).
-// The slice is the tree's own and must not be modified.
+// The slice is the tree's own: it must not be modified, and RepairTree
+// rewrites it.
 func (t *Tree) Dist() []float64 { return t.dist }
 
 // Path returns the route from the source to v, with no edges when v is the
@@ -110,7 +111,15 @@ const (
 // unbounded hops.
 func (sc *DPScratch) ShortestTree(g *Graph, src int, w []float64) *Tree {
 	sc.tree(g, src, w)
-	return sc.newTree(g, src)
+	n := g.NumNodes()
+	sc.checkTree(src, n)
+	return &Tree{
+		g: g, src: src,
+		dist:   slices.Clone(sc.cur[:n]),
+		pred:   slices.Clone(sc.parent[:n]),
+		hops:   slices.Clone(sc.hops[:n]),
+		routes: make([]atomic.Pointer[Path], n),
+	}
 }
 
 // tree builds src's row in the scratch — dist in cur, depths in hops, pred
@@ -151,19 +160,6 @@ func (sc *DPScratch) tree(g *Graph, src int, w []float64) {
 		}
 	}
 	sc.order = order
-}
-
-// newTree copies the row built in the scratch into a Tree.
-func (sc *DPScratch) newTree(g *Graph, src int) *Tree {
-	n := g.NumNodes()
-	sc.checkTree(src, n)
-	return &Tree{
-		g: g, src: src,
-		dist:   slices.Clone(sc.cur[:n]),
-		pred:   slices.Clone(sc.parent[:n]),
-		hops:   slices.Clone(sc.hops[:n]),
-		routes: make([]atomic.Pointer[Path], n),
-	}
 }
 
 // checkTree panics unless every node with a finite dist in the scratch has
@@ -253,11 +249,12 @@ func (sc *DPScratch) treePaths(g *Graph, src int) ([]float64, []Path) {
 	return slices.Clone(sc.cur[:n]), paths
 }
 
-// RepairTree returns old's source's row under the cost vector w, given
-// that old is the row under the cost vector w0 on the same graph. The
-// result is the Tree ShortestTree would return under w, bit for bit, and
-// costs no more allocations; old is not modified, and is itself returned
-// when nothing in it moves.
+// RepairTree rewrites old, the row of its source under the cost vector w0
+// on its graph, into the row under the cost vector w, and returns it: the
+// Tree ShortestTree would return under w, bit for bit, in old's own
+// storage, with no allocation. Every Path of old requested before is
+// forgotten where the repair moved anything (the Edges already handed out
+// stay as they were), and old must not be read while it is repaired.
 //
 // Only what the edges whose cost changed can move is re-derived:
 //
@@ -401,7 +398,14 @@ func (sc *DPScratch) RepairTree(old *Tree, w0, w []float64) *Tree {
 	if len(moved) == 0 && slices.Equal(parent, old.pred) {
 		return old
 	}
-	return sc.newTree(g, src)
+	sc.checkTree(src, n)
+	copy(old.dist, d)
+	copy(old.hops, hops)
+	copy(old.pred, parent)
+	for v := range old.routes {
+		old.routes[v].Store(nil)
+	}
+	return old
 }
 
 // treeChild appends to roots the endpoint of edge id whose tree edge it is,

@@ -160,8 +160,8 @@ func TestTreeAbsorbedWeight(t *testing.T) {
 }
 
 // TestTreePathConcurrent: Path builds a route on first request and keeps
-// it, so goroutines sharing a tree — a route table read while the next
-// round runs — must all get the same route. Run it under -race.
+// it, so goroutines sharing a tree between repairs — readers of one
+// round's route table — must all get the same route. Run it under -race.
 func TestTreePathConcurrent(t *testing.T) {
 	g, w := fleet160()
 	var sc DPScratch
@@ -335,6 +335,35 @@ func TestRepairTreeAllocsNoMoreThanCold(t *testing.T) {
 	})
 	if repair > cold {
 		t.Fatalf("allocations per round of %d rows: repair %.1f, cold %.1f", len(trees), repair, cold)
+	}
+}
+
+// TestRepairTreeAllocatesNothing: a repair rewrites the row in the old
+// tree's own storage, so on fleet160 under link_drift-style edits a round
+// of repairs allocates nothing and returns the trees it was given.
+func TestRepairTreeAllocatesNothing(t *testing.T) {
+	g, w0 := fleet160()
+	ws := linkDrift(g, rand.New(rand.NewSource(5)), 40)
+	var sc DPScratch
+	trees := make([]*Tree, 0, 54)
+	for src := 0; src < g.NumNodes(); src += 3 {
+		trees = append(trees, sc.ShortestTree(g, src, w0))
+	}
+	round := 0
+	allocs := testing.AllocsPerRun(len(ws)-1, func() {
+		prev, w := w0, ws[round]
+		if round > 0 {
+			prev = ws[round-1]
+		}
+		for _, tr := range trees {
+			if sc.RepairTree(tr, prev, w) != tr {
+				t.Fatal("RepairTree returned a tree other than the one it repaired")
+			}
+		}
+		round++
+	})
+	if allocs != 0 {
+		t.Fatalf("%.1f allocations per round of %d repairs, want 0", allocs, len(trees))
 	}
 }
 
